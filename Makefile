@@ -4,7 +4,7 @@ GO ?= go
 # clobbering an existing same-day baseline (e.g. BENCH_OUT=BENCH_20260808b.json).
 BENCH_OUT ?= BENCH_$(shell date +%Y%m%d).json
 
-.PHONY: all build test race faultstress schedsoak soaksmoke lint lint-sarif bench benchsmoke obssmoke alertsmoke tracesmoke replaysmoke clean
+.PHONY: all build test race faultstress schedsoak soaksmoke lint lint-sarif bench benchsmoke perfsmoke obssmoke alertsmoke tracesmoke replaysmoke clean
 
 all: build lint test
 
@@ -41,9 +41,10 @@ soaksmoke:
 # vet plus the repo's own analyzers: the per-package checks (lockcheck,
 # mapdeterminism, errwrap, durationliteral) and the whole-program
 # concurrency suite (lockorder, goroutineleak, eventexhaustive,
-# metrichygiene). Known debt lives in .vitallint-baseline.json (empty
-# today — keep it that way); anything else fails the run. CI calls this
-# target, so the two can't drift.
+# metrichygiene). Known debt lives in .vitallint-baseline.json — one entry
+# today, in cmd/vitalperf, which only a benchmark-defining change may edit;
+# add no others. Anything else fails the run. CI calls this target, so the
+# two can't drift.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/vitallint -baseline .vitallint-baseline.json ./...
@@ -65,6 +66,14 @@ bench:
 # sublinearity is asserted from the recorded BENCH_*.json snapshots).
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
+
+# End-to-end benchmark smoke: five seconds of sprawl_open — the one
+# vitalperf workload that scrapes both tiers beside deploy/undeploy churn —
+# through the harness entry BENCHMARK.json names. vitalperf exits non-zero
+# when any correctness gate fails (audit parity, /verify, both expositions
+# valid, cache misses).
+perfsmoke:
+	bash bench/run.sh --workload sprawl_open --seed 1 --seconds 5 --trace 0
 
 # Observability smoke: boot an in-process vitald, deploy over HTTP, scrape
 # the Prometheus exposition through the strict validator, and fetch the

@@ -16,6 +16,8 @@
 //  4. Audit integrity: the client-side tally of successful deploys and
 //     undeploys equals the backend audit log's event counters — zero
 //     lost audit events under churn.
+//  5. Series lifecycle: once every tenant has undeployed, the backend's
+//     exposition carries no per-app sample.
 //
 // It exits non-zero on the first violated assertion.
 package main
@@ -33,6 +35,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,6 +139,7 @@ func main() {
 	s.checkDedup()
 	s.checkLatency()
 	s.checkAudit()
+	s.checkSeriesLifecycle()
 	if cfg.probe {
 		s.checkBackpressure()
 	}
@@ -501,6 +505,31 @@ func (s *soak) checkAudit() {
 		s.failf("audit: backend logged %d undeploy events, clients completed %d", got, undeploys)
 	}
 	log.Printf("audit: %d deploy / %d undeploy events, parity held", m.Events["deploy"], m.Events["undeploy"])
+}
+
+// checkSeriesLifecycle asserts that per-app series go with their apps:
+// every cycle ended in an undeploy, so the backend's exposition must carry
+// no sample labeled app="…" however many instance names churned through.
+// (The gateway's per-tenant series are bounded by the configured tenants.)
+func (s *soak) checkSeriesLifecycle() {
+	resp, err := s.client.Get(s.backend + "/metrics?format=prometheus")
+	if err != nil {
+		s.failf("series lifecycle: scraping the backend: %v", err)
+		return
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		s.failf("series lifecycle: reading the backend exposition: %v", err)
+		return
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, "#") && strings.Contains(line, `app="`) {
+			s.failf("series lifecycle: %q outlived its app", line)
+			return
+		}
+	}
+	log.Printf("series lifecycle: no per-app sample after the last undeploy")
 }
 
 // checkBackpressure pauses the deploy workers and floods the batch class

@@ -191,6 +191,10 @@ func (s *Stack) dmaTraffic(app *CompiledApp, dep *sched.Deployment, stats *Execu
 	if err != nil {
 		return fmt.Errorf("core: DMA buffer for %s: %w", app.Name, err)
 	}
+	// Left mapped, every call would eat into the domain's quota. Free fails
+	// only when an undeploy raced the run and took the window down with its
+	// domain, which leaves nothing to release.
+	defer func() { _ = board.Mem.Free(app.Name, va, window) }()
 	for moved := uint64(0); moved < bytes; moved += window {
 		n := window
 		if bytes-moved < n {

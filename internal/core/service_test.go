@@ -101,3 +101,55 @@ func TestExecuteByName(t *testing.T) {
 		t.Fatalf("execution stats = %+v", stats)
 	}
 }
+
+// TestExecuteReleasesDMAWindow: Execute maps a DMA window into the app's
+// memory domain per call and used never to unmap it, so under the default
+// 1 GiB quota the 513th execute of a deployment failed. The window is
+// released on return; the model-time results do not move.
+func TestExecuteReleasesDMAWindow(t *testing.T) {
+	s := NewStack(nil)
+	defer s.Controller.Close()
+	const name, tokens = "t0.lenet-M", 64 // four blocks, so channels carry traffic
+	app, err := s.CompileSpec(context.Background(), "lenet-M", name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Deploy(app, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func() float64 {
+		for _, f := range s.Controller.Reg.Snapshot() {
+			if f.Name != "vital_mem_allocated_bytes" {
+				continue
+			}
+			for _, ser := range f.Series {
+				if ser.Labels["app"] == name {
+					return ser.Value
+				}
+			}
+		}
+		t.Fatalf("no vital_mem_allocated_bytes{app=%q} series", name)
+		return 0
+	}
+	before := allocated()
+	var first *ExecutionStats
+	for i := 0; i < 600; i++ {
+		stats, err := s.ExecuteByName(name, tokens)
+		if err != nil {
+			t.Fatalf("execute %d: %v", i+1, err)
+		}
+		if after := allocated(); after != before {
+			t.Fatalf("execute %d left %v bytes mapped, %v before", i+1, after, before)
+		}
+		if first == nil {
+			first = stats
+		} else if stats.Cycles != first.Cycles || stats.GatedCycles != first.GatedCycles {
+			t.Fatalf("execute %d: cycles %d gated %d, first run %d and %d", i+1, stats.Cycles, stats.GatedCycles, first.Cycles, first.GatedCycles)
+		}
+	}
+	// The values the leaking Execute produced for this placement.
+	if first.Cycles != 70 || first.GatedCycles != 12 ||
+		first.DRAMReadBytes != tokens*tokenBytes || first.DRAMWriteBytes != tokens*tokenBytes {
+		t.Fatalf("stats moved: cycles %d gated %d dram %d/%d", first.Cycles, first.GatedCycles, first.DRAMReadBytes, first.DRAMWriteBytes)
+	}
+}

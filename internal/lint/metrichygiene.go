@@ -37,7 +37,9 @@ import (
 // Declarations are calls to Counter/CounterFunc/Gauge/GaugeFunc/Histogram
 // methods whose first argument is a vital_* string literal (the
 // internal/telemetry Registry API; matched by method name so fixture
-// modules need not import the package).
+// modules need not import the package), and to CounterDesc/GaugeDesc,
+// which declare a family for a collector to emit into: their label keys
+// are the string literals after the help argument.
 var MetricHygiene = &Analyzer{
 	Name:       "metrichygiene",
 	Doc:        "vital_* metrics: one declaration per name, consistent type/help, Prometheus suffix conventions",
@@ -81,8 +83,10 @@ type metricKind string
 var declMethods = map[string]metricKind{
 	"Counter":     "counter",
 	"CounterFunc": "counter",
+	"CounterDesc": "counter",
 	"Gauge":       "gauge",
 	"GaugeFunc":   "gauge",
+	"GaugeDesc":   "gauge",
 	"Histogram":   "histogram",
 }
 
@@ -218,12 +222,17 @@ func metricDeclOf(call *ast.CallExpr) (metricDecl, *ast.BasicLit) {
 			}
 		}
 	}
-	for _, arg := range call.Args[1:] {
-		c, ok := ast.Unparen(arg).(*ast.CallExpr)
-		if !ok || len(c.Args) == 0 || callName(c.Fun) != "L" {
+	isDesc := strings.HasSuffix(sel.Sel.Name, "Desc")
+	for i, arg := range call.Args[1:] {
+		// A label key is the first argument of an L(...) call or, in a
+		// Desc declaration, a literal after the help string.
+		key := ast.Unparen(arg)
+		if c, ok := key.(*ast.CallExpr); ok && len(c.Args) > 0 && callName(c.Fun) == "L" {
+			key = ast.Unparen(c.Args[0])
+		} else if !isDesc || i == 0 {
 			continue
 		}
-		kl, ok := ast.Unparen(c.Args[0]).(*ast.BasicLit)
+		kl, ok := key.(*ast.BasicLit)
 		if !ok || kl.Kind != token.STRING {
 			continue
 		}

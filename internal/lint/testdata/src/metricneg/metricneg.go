@@ -3,9 +3,13 @@ package metricneg
 
 type reg struct{}
 
-func (reg) Counter(name, help string, labels ...int) int   { return 0 }
-func (reg) Gauge(name, help string, labels ...int) int     { return 0 }
-func (reg) Histogram(name, help string, labels ...int) int { return 0 }
+func (reg) Counter(name, help string, labels ...int) int    { return 0 }
+func (reg) Gauge(name, help string, labels ...int) int      { return 0 }
+func (reg) Histogram(name, help string, labels ...int) int  { return 0 }
+func (reg) GaugeDesc(name, help string, keys ...string) int { return 0 }
+func (reg) CounterDesc(name, help string, keys ...string) int {
+	return 0
+}
 
 // L mimics the telemetry label constructor.
 func L(key, value string) int { return 0 }
@@ -20,6 +24,9 @@ func Declare(r reg) {
 	// Allowlisted keys, tenant confined to its namespace.
 	r.Counter("vital_tenant_requests_total", "Tenant requests.",
 		L("tenant", "alice"), L("route", "/submit"), L("code", "200"))
+	// Collector-declared families: keys follow the help string.
+	r.GaugeDesc("vital_board_used_blocks", "Blocks in use, per board.", "board")
+	r.CounterDesc("vital_mem_read_bytes_total", "Bytes read, per app.", "app")
 }
 
 // Scrape references declared series, histogram suffixes included.
@@ -29,6 +36,7 @@ func Scrape() []string {
 		"vital_deploy_seconds_bucket",
 		"vital_deploy_seconds_sum",
 		"vital_deploy_seconds_count",
+		"vital_board_used_blocks",
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"vital/internal/ring"
 	"vital/internal/telemetry"
 )
 
@@ -115,6 +117,8 @@ type Ticket struct {
 	// the worker after the deploy. Written before the ticket enters the
 	// queue channel, so the worker's reads are ordered by the channel.
 	span *telemetry.Span
+	// seq is the admission sequence number behind ID; List orders by it.
+	seq uint64
 }
 
 // ErrQueueFull reports that an async deploy was shed because its priority
@@ -125,8 +129,8 @@ var ErrQueueFull = errors.New("deploy queue full")
 const (
 	defaultQueueDepth   = 256
 	defaultQueueWorkers = 4
-	// maxRetainedTickets bounds the ticket table: once exceeded, the
-	// oldest finished tickets are evicted (their IDs 404 afterwards).
+	// maxRetainedTickets bounds the finished tickets retained: past it, each
+	// ticket that finishes evicts the one that finished longest ago.
 	maxRetainedTickets = 8192
 )
 
@@ -151,11 +155,13 @@ type AsyncPipeline struct {
 	admit    *telemetry.Histogram
 	wait     [2]*telemetry.Histogram
 
-	mu      sync.Mutex
-	tickets map[string]*Ticket
-	// order holds ticket IDs oldest-first for listing and bounded
-	// retention (finished tickets are evicted oldest-first past the cap).
-	order []string
+	mu sync.Mutex
+	// tickets indexes every retained ticket by ID. Those in flight are
+	// bounded by the class queues and the worker pool and never evicted; a
+	// ticket reaching a terminal state enters finished, whose overwrite of
+	// its oldest entry is the only eviction — admission does none.
+	tickets  map[string]*Ticket
+	finished *ring.Ring[*Ticket]
 	// gate is closed while the pipeline is draining; Pause swaps in an
 	// open channel so workers block before their next dequeue, Resume
 	// closes it again. Operators use this to freeze placement churn
@@ -189,6 +195,7 @@ func newAsyncPipeline(ct *Controller, depth, workers int) *AsyncPipeline {
 		batchCh:  make(chan *Ticket, depth),
 		stop:     make(chan struct{}),
 		tickets:  map[string]*Ticket{},
+		finished: ring.New[*Ticket](maxRetainedTickets),
 		gate:     make(chan struct{}),
 	}
 	close(p.gate) // running (not paused) from the start
@@ -203,16 +210,16 @@ func newAsyncPipeline(ct *Controller, depth, workers int) *AsyncPipeline {
 		p.done[i][0] = r.Counter("vital_queue_deploys_total", "Async deploys completed, by priority class and outcome.", lbl, telemetry.L("outcome", "ok"))
 		p.done[i][1] = r.Counter("vital_queue_deploys_total", "Async deploys completed, by priority class and outcome.", lbl, telemetry.L("outcome", "error"))
 		p.wait[i] = r.Histogram("vital_queue_wait_seconds", "Time a ticket spent queued before a worker picked it up.", nil, lbl)
-		ch := p.queue(pr)
-		r.GaugeFunc("vital_queue_depth", "Tickets waiting in the class queue.", func() float64 {
-			return float64(len(ch))
-		}, lbl)
 	}
-	r.GaugeFunc("vital_queue_capacity", "Per-class queue capacity (tickets beyond it are shed).", func() float64 {
-		return float64(p.capacity)
-	})
-	r.GaugeFunc("vital_queue_workers", "Deploy workers draining the queues.", func() float64 {
-		return float64(p.workers)
+	depthDesc := r.GaugeDesc("vital_queue_depth", "Tickets waiting in the class queue.", "class")
+	capacity := r.GaugeDesc("vital_queue_capacity", "Per-class queue capacity (tickets beyond it are shed).")
+	workerCount := r.GaugeDesc("vital_queue_workers", "Deploy workers draining the queues.")
+	r.Collect(func(emit telemetry.Emit) {
+		for _, pr := range allPriorities {
+			emit(depthDesc, float64(len(p.queue(pr))), string(pr))
+		}
+		emit(capacity, float64(p.capacity))
+		emit(workerCount, float64(p.workers))
 	})
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
@@ -270,8 +277,10 @@ func (p *AsyncPipeline) Resume() {
 func (p *AsyncPipeline) Enqueue(ctx context.Context, app string, memQuota uint64, defaulted bool, pr Priority) (Ticket, error) {
 	start := time.Now()
 	defer p.admit.ObserveSince(start)
+	seq := p.nextID.Add(1)
 	t := &Ticket{
-		ID:                fmt.Sprintf("d-%06d", p.nextID.Add(1)),
+		ID:                fmt.Sprintf("d-%06d", seq),
+		seq:               seq,
 		App:               app,
 		Priority:          pr,
 		State:             TicketQueued,
@@ -292,33 +301,9 @@ func (p *AsyncPipeline) Enqueue(ctx context.Context, app string, memQuota uint64
 	p.enqueued[i].Inc()
 	p.mu.Lock()
 	p.tickets[t.ID] = t
-	p.order = append(p.order, t.ID)
-	p.evictLocked()
 	snap := *t
 	p.mu.Unlock()
 	return snap, nil
-}
-
-// evictLocked drops the oldest finished tickets once the table exceeds the
-// retention cap. Queued and running tickets are never evicted.
-func (p *AsyncPipeline) evictLocked() {
-	for len(p.tickets) > maxRetainedTickets {
-		evicted := false
-		for j, id := range p.order {
-			t := p.tickets[id]
-			if t == nil || t.State == TicketSucceeded || t.State == TicketFailed {
-				if t != nil {
-					delete(p.tickets, id)
-				}
-				p.order = append(p.order[:j], p.order[j+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // everything retained is still in flight
-		}
-	}
 }
 
 // Get returns a snapshot of one ticket.
@@ -336,17 +321,16 @@ func (p *AsyncPipeline) Get(id string) (Ticket, bool) {
 // state ("" keeps all), at most max (0 = no bound).
 func (p *AsyncPipeline) List(state TicketState, max int) []Ticket {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Ticket, 0, len(p.order))
-	for j := len(p.order) - 1; j >= 0; j-- {
-		t, ok := p.tickets[p.order[j]]
-		if !ok || (state != "" && t.State != state) {
-			continue
+	out := make([]Ticket, 0, len(p.tickets))
+	for _, t := range p.tickets {
+		if state == "" || t.State == state {
+			out = append(out, *t)
 		}
-		if max > 0 && len(out) == max {
-			break
-		}
-		out = append(out, *t)
+	}
+	p.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
+	if max > 0 && len(out) > max {
+		out = out[:max]
 	}
 	return out
 }
@@ -460,6 +444,9 @@ func (p *AsyncPipeline) run(t *Ticket) {
 	} else {
 		t.State = TicketSucceeded
 		t.Result = summarize(dep, t.MemQuotaBytes, t.MemQuotaDefaulted)
+	}
+	if old, evicted := p.finished.Push(t); evicted {
+		delete(p.tickets, old.ID)
 	}
 	p.mu.Unlock()
 	finishSpan(t.span, err)

@@ -253,3 +253,49 @@ func TestQueueStatsHTTP(t *testing.T) {
 		t.Fatalf("queue stats = %+v", st)
 	}
 }
+
+// TestAsyncTicketRetention: finished tickets are retained up to
+// maxRetainedTickets, oldest-finished evicted first; a ticket still in
+// flight is never evicted however many finish around it; List is newest
+// admission first. The test plays the worker itself (the real ones are
+// stopped), so which tickets are in flight is exact.
+func TestAsyncTicketRetention(t *testing.T) {
+	ct := NewController(testCluster())
+	p := ct.Async()
+	p.Close()
+	enqueue := func(pr Priority) Ticket {
+		tk, err := p.Enqueue(context.Background(), "no-such-app", 0, true, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	held := enqueue(PriorityBatch) // nobody drains the batch class: stays queued
+	var first, last Ticket
+	for i := 0; i < maxRetainedTickets+50; i++ {
+		last = enqueue(PriorityLatency)
+		if i == 0 {
+			first = last
+		}
+		p.run(<-p.latCh)
+	}
+	if _, ok := p.Get(first.ID); ok {
+		t.Fatalf("ticket %s survived %d later finishes", first.ID, maxRetainedTickets+49)
+	}
+	if got, ok := p.Get(held.ID); !ok || got.State != TicketQueued {
+		t.Fatalf("in-flight ticket %s evicted or changed: %+v (found %v)", held.ID, got, ok)
+	}
+	if n := len(p.List(TicketFailed, 0)); n != maxRetainedTickets {
+		t.Fatalf("%d finished tickets retained, want the cap %d", n, maxRetainedTickets)
+	}
+	if st := p.Stats(); st.TicketsRetained != maxRetainedTickets+1 {
+		t.Fatalf("tickets retained = %d, want the cap plus the one in flight", st.TicketsRetained)
+	}
+	all := p.List("", 3)
+	if len(all) != 3 || all[0].ID != last.ID || all[1].ID >= all[0].ID || all[2].ID >= all[1].ID {
+		t.Fatalf("List is not newest first: %+v", all)
+	}
+	if queued := p.List(TicketQueued, 0); len(queued) != 1 || queued[0].ID != held.ID {
+		t.Fatalf("queued tickets = %+v, want only %s", queued, held.ID)
+	}
+}

@@ -276,7 +276,6 @@ func (ct *Controller) deployLocked(app string, memQuota uint64, sp *telemetry.Sp
 			return nil, fmt.Errorf("sched: deploying %q violates invariants: %w", app, rep.Err())
 		}
 	}
-	ct.registerAppTelemetry(app)
 	ct.log.add(EventDeploy, app, fmt.Sprintf("%d blocks on %v", len(refs), boards))
 	sp.SetAttr("blocks", fmt.Sprint(len(refs)))
 	sp.SetAttr("boards", fmt.Sprint(boards))
@@ -456,13 +455,6 @@ type Status struct {
 func (ct *Controller) Status() Status {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.statusLocked()
-}
-
-// statusLocked assembles the occupancy summary; the caller holds ct.mu, so
-// Metrics can combine it with the event counters in one consistent
-// snapshot.
-func (ct *Controller) statusLocked() Status {
 	st := Status{
 		Boards:      len(ct.Cluster.Boards),
 		TotalBlocks: ct.Cluster.TotalBlocks(),

@@ -90,7 +90,7 @@ func fragmentDieZero(t *testing.T, ct *Controller) {
 func TestDefragStepMergesRuns(t *testing.T) {
 	ct := NewController(testCluster())
 	fragmentDieZero(t, ct)
-	if _, longest := ct.DB.FreeContig(0); longest != 5 {
+	if longest := ct.DB.BoardStats()[0].LongestRun; longest != 5 {
 		// dies 1 and 2 are untouched, so the board-longest stays 5; the
 		// fragmented die is visible through the run list instead.
 		t.Fatalf("setup: longest run = %d", longest)

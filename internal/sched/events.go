@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"vital/internal/bitstream"
+	"vital/internal/memvirt"
+	"vital/internal/ring"
 	"vital/internal/telemetry"
 )
 
@@ -40,17 +42,6 @@ var allEventKinds = []EventKind{
 	EventDeploy, EventUndeploy, EventRelocate, EventDrain, EventCompact, EventDefrag, EventFault, EventEvacuate, EventAlert,
 }
 
-// validEventKind reports whether s names a known event kind (used to
-// validate the /events/stream ?kind= filter).
-func validEventKind(s string) bool {
-	for _, k := range allEventKinds {
-		if string(k) == s {
-			return true
-		}
-	}
-	return false
-}
-
 // Event is one entry of the controller's audit log: cloud operators need
 // to reconstruct who held which physical blocks when. Seq is a strictly
 // increasing per-log sequence number; SSE clients use it as the event id
@@ -63,19 +54,11 @@ type Event struct {
 	Detail string    `json:"detail"`
 }
 
-// eventLog is a bounded in-memory audit log backed by a ring buffer: the
-// slice grows by append until it reaches limit, after which next points at
-// the oldest entry and new events overwrite it in place. (A re-slice trim
-// of the form events = events[len-limit:] would pin the old backing array
-// and regrow a fresh tail forever; the ring reuses one allocation.)
+// eventLog is a bounded in-memory audit log: the most recent events in a
+// ring, per-kind totals that outlive eviction, and live subscribers.
 type eventLog struct {
-	mu sync.Mutex
-	// ring holds the events; once len(ring) == limit it is circular.
-	ring []Event
-	// next is the index of the oldest entry (== the next overwrite slot)
-	// once the ring is full; zero while still growing.
-	next  int
-	limit int
+	mu   sync.Mutex
+	ring *ring.Ring[Event]
 	// counts holds per-kind totals for the metrics endpoint.
 	counts map[EventKind]uint64
 	// seq is the next event's sequence number (first event gets 1).
@@ -130,7 +113,7 @@ const defaultEventLimit = 4096
 func newEventLog() *eventLog { return newEventLogWithLimit(defaultEventLimit) }
 
 func newEventLogWithLimit(limit int) *eventLog {
-	return &eventLog{limit: limit, counts: map[EventKind]uint64{}}
+	return &eventLog{ring: ring.New[Event](limit), counts: map[EventKind]uint64{}}
 }
 
 func (l *eventLog) add(kind EventKind, app, detail string) {
@@ -139,12 +122,7 @@ func (l *eventLog) add(kind EventKind, app, detail string) {
 	l.counts[kind]++
 	l.seq++
 	e := Event{Seq: l.seq, At: time.Now(), Kind: kind, App: app, Detail: detail}
-	if len(l.ring) < l.limit {
-		l.ring = append(l.ring, e)
-	} else {
-		l.ring[l.next] = e
-		l.next = (l.next + 1) % l.limit
-	}
+	l.ring.Push(e)
 	for _, s := range l.subs {
 		select {
 		case s.ch <- e:
@@ -158,7 +136,7 @@ func (l *eventLog) add(kind EventKind, app, detail string) {
 func (l *eventLog) Limit() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.limit
+	return l.ring.Cap()
 }
 
 // Snapshot returns the most recent events in chronological order (newest
@@ -166,15 +144,7 @@ func (l *eventLog) Limit() int {
 func (l *eventLog) Snapshot(max int) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.ring)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]Event, 0, n)
-	for i := len(l.ring) - n; i < len(l.ring); i++ {
-		out = append(out, l.ring[(l.next+i)%len(l.ring)])
-	}
-	return out
+	return l.ring.Last(max)
 }
 
 // Counts returns per-kind event totals.
@@ -208,7 +178,8 @@ type CacheMetrics struct {
 // Metrics summarizes controller activity for monitoring: one scrape covers
 // occupancy, per-board health, compile-cache counters, event totals, and
 // the operation latency summaries (p50/p90/p99 from the controller's
-// histograms).
+// histograms). The controller's Prometheus series are emitted from the same
+// snapshot (telemetry.go): the two /metrics formats are one read.
 type Metrics struct {
 	TotalBlocks int                  `json:"total_blocks"`
 	UsedBlocks  int                  `json:"used_blocks"`
@@ -223,6 +194,16 @@ type Metrics struct {
 	// Placement is the cluster-wide placement-quality report (per-app
 	// crossing counts, fragmentation, free-block contiguity).
 	Placement ClusterPlacement `json:"placement"`
+
+	// What only the Prometheus rendering shows: the boards' free-run shape,
+	// and each live app's monitored I/O, index-aligned with Placement.Apps.
+	boards []BoardStat
+	apps   []appCounters
+}
+
+type appCounters struct {
+	mem memvirt.DomainStats
+	nic memvirt.VNICStats
 }
 
 // Metrics reports occupancy, health, cache and event counters in one
@@ -233,15 +214,15 @@ type Metrics struct {
 func (ct *Controller) Metrics() Metrics {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	st := ct.statusLocked()
 	cs := ct.Cache.Stats()
-	return Metrics{
-		TotalBlocks: st.TotalBlocks,
-		UsedBlocks:  st.UsedBlocks,
-		Deployed:    len(st.Apps),
+	boards := ct.DB.BoardStats()
+	m := Metrics{
+		TotalBlocks: ct.Cluster.TotalBlocks(),
+		UsedBlocks:  ct.DB.UsedBlocks(),
+		Deployed:    len(ct.deployed),
 		Events:      ct.log.Counts(),
 		Cache:       CacheMetrics{CacheStats: cs, HitRate: cs.HitRate()},
-		Boards:      ct.healthLocked().Boards,
+		Boards:      ct.healthLocked(boards).Boards,
 		Latency: map[string]telemetry.HistogramSummary{
 			"deploy":   ct.lat.deploy.Summary(),
 			"undeploy": ct.lat.undeploy.Summary(),
@@ -250,6 +231,19 @@ func (ct *Controller) Metrics() Metrics {
 			"evacuate": ct.lat.evacuate.Summary(),
 			"defrag":   ct.lat.defrag.Summary(),
 		},
-		Placement: ct.placementLocked(),
+		Placement: ct.placementLocked(boards),
+		boards:    boards,
 	}
+	for _, sc := range m.Placement.Apps {
+		dep := ct.deployed[sc.App]
+		var ac appCounters
+		if dep.VNIC != nil {
+			ac.nic = dep.VNIC.Stats()
+		}
+		if d, ok := ct.Cluster.Boards[dep.Primary].Mem.Domain(sc.App); ok {
+			ac.mem = d.Stats()
+		}
+		m.apps = append(m.apps, ac)
+	}
+	return m
 }

@@ -152,14 +152,15 @@ func (ct *Controller) InjectFault(board int, kind FaultKind) (ev *Evacuation, er
 func (ct *Controller) Health() *HealthReport {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.healthLocked()
+	return ct.healthLocked(ct.DB.BoardStats())
 }
 
-// healthLocked assembles the health report under the caller's ct.mu, so
-// Metrics can fold the per-board view into its consistent snapshot.
-func (ct *Controller) healthLocked() *HealthReport {
+// healthLocked assembles the health report from the boards' stats under
+// the caller's ct.mu, so Metrics can fold the per-board view into its
+// consistent snapshot.
+func (ct *Controller) healthLocked(boards []BoardStat) *HealthReport {
 	rep := &HealthReport{AllHealthy: true}
-	residents := make([]map[string]bool, len(ct.Cluster.Boards))
+	residents := make([]map[string]bool, len(boards))
 	for app, dep := range ct.deployed {
 		for _, blk := range dep.Blocks {
 			if residents[blk.Board] == nil {
@@ -168,17 +169,11 @@ func (ct *Controller) healthLocked() *HealthReport {
 			residents[blk.Board][app] = true
 		}
 	}
-	for b := range ct.Cluster.Boards {
-		h := ct.DB.Health(b)
-		if h != Healthy {
+	for b, st := range boards {
+		if st.Health != Healthy {
 			rep.AllHealthy = false
 		}
-		info := BoardHealthInfo{
-			Board:      b,
-			Health:     h,
-			FreeBlocks: len(ct.DB.FreeOnBoard(b)),
-			UsedBlocks: ct.DB.UsedOnBoard(b),
-		}
+		info := BoardHealthInfo{Board: b, Health: st.Health, FreeBlocks: st.Free, UsedBlocks: st.Used}
 		for app := range residents[b] {
 			info.Apps = append(info.Apps, app)
 		}

@@ -334,8 +334,9 @@ func TestVerifyFlagsUnevacuatedFailedBoard(t *testing.T) {
 	}
 }
 
-// TestEventLogRing: the ring buffer keeps the newest `limit` events in
-// chronological order without regrowing its backing array.
+// TestEventLogRing: the log keeps the newest `limit` events in
+// chronological order (internal/ring pins that the backing array is
+// reused) while the per-kind totals keep counting.
 func TestEventLogRing(t *testing.T) {
 	l := newEventLogWithLimit(4)
 	for i := 0; i < 10; i++ {
@@ -353,8 +354,8 @@ func TestEventLogRing(t *testing.T) {
 	if got := l.Snapshot(2); len(got) != 2 || got[1].App != "a9" || got[0].App != "a8" {
 		t.Fatalf("Snapshot(2) = %+v", got)
 	}
-	if c := cap(l.ring); c != 4 {
-		t.Fatalf("ring capacity regrew to %d, want 4", c)
+	if n, ev := len(l.ring.Last(0)), l.ring.Evicted(); n != 4 || ev != 6 {
+		t.Fatalf("ring holds %d events after evicting %d, want 4 after 6", n, ev)
 	}
 	if l.Counts()[EventDeploy] != 10 {
 		t.Fatalf("counts = %v", l.Counts())

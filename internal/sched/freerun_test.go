@@ -169,16 +169,16 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 	}
 }
 
-func TestFreeContigHealthGating(t *testing.T) {
+func TestBoardStatsHealthGating(t *testing.T) {
 	db := NewResourceDB(testCluster())
-	if free, longest := db.FreeContig(1); free != 15 || longest != 5 {
-		t.Fatalf("fresh board: free=%d longest=%d", free, longest)
+	if st := db.BoardStats()[1]; st.Free != 15 || st.LongestRun != 5 || st.FreeRuns != 3 || st.Used != 0 {
+		t.Fatalf("fresh board: %+v", st)
 	}
 	if err := db.SetHealth(1, Degraded); err != nil {
 		t.Fatal(err)
 	}
-	if free, longest := db.FreeContig(1); free != 0 || longest != 0 {
-		t.Fatalf("degraded board offers free=%d longest=%d", free, longest)
+	if st := db.BoardStats()[1]; st.Health != Degraded || st.Free != 0 || st.LongestRun != 0 || st.FreeRuns != 0 {
+		t.Fatalf("degraded board offers %+v", st)
 	}
 	if db.Runs(1) != nil {
 		t.Fatal("degraded board still lists free runs")
@@ -190,10 +190,7 @@ func TestFreeContigHealthGating(t *testing.T) {
 	if err := db.SetHealth(1, Healthy); err != nil {
 		t.Fatal(err)
 	}
-	if free, longest := db.FreeContig(1); free != 15 || longest != 5 {
-		t.Fatalf("recovered board: free=%d longest=%d", free, longest)
-	}
-	if free, longest := db.FreeContig(-1); free != 0 || longest != 0 {
-		t.Fatalf("out-of-range board: free=%d longest=%d", free, longest)
+	if st := db.BoardStats()[1]; st.Free != 15 || st.LongestRun != 5 {
+		t.Fatalf("recovered board: %+v", st)
 	}
 }

@@ -189,8 +189,8 @@ func TestAllocateContiguityRegression(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		n := 1 + (i*7)%5
 		couldContig := false
-		for b := 0; b < 4; b++ {
-			if _, longest := db.FreeContig(b); longest >= n {
+		for _, st := range db.BoardStats() {
+			if st.LongestRun >= n {
 				couldContig = true
 				break
 			}

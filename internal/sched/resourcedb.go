@@ -145,16 +145,34 @@ func (db *ResourceDB) FreeCount() []int {
 	return counts
 }
 
-// FreeContig returns one board's free-block count and longest free run,
-// both zero when the board is not healthy. This is the O(1) index read
-// behind the placement and fragmentation metrics.
-func (db *ResourceDB) FreeContig(board int) (free, longest int) {
+// BoardStat is one board's occupancy and free-capacity shape. Free,
+// LongestRun (the longest run of consecutive free blocks within a die) and
+// FreeRuns (the number of such runs) describe allocatable capacity, so
+// they read zero on a board that is not healthy.
+type BoardStat struct {
+	Health                           BoardHealth
+	Used, Free, LongestRun, FreeRuns int
+}
+
+// BoardStats reads every board off the free-run index under one lock hold,
+// O(dies) per board: a metrics scrape or a placement report costs one
+// acquisition instead of several per board.
+func (db *ResourceDB) BoardStats() []BoardStat {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if board < 0 || board >= len(db.runs) || db.health[board] != Healthy {
-		return 0, 0
+	out := make([]BoardStat, len(db.runs))
+	for b := range db.runs {
+		br := &db.runs[b]
+		st := BoardStat{Health: db.health[b], Used: db.cluster.Boards[b].Device.NumBlocks() - br.free}
+		if st.Health == Healthy {
+			st.Free, st.LongestRun = br.free, br.maxRun
+			for _, die := range br.dies {
+				st.FreeRuns += len(die)
+			}
+		}
+		out[b] = st
 	}
-	return db.runs[board].free, db.runs[board].maxRun
+	return out
 }
 
 // Runs returns one board's free runs in (die, start) order, nil when the

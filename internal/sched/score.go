@@ -103,23 +103,6 @@ func chainEdges(nb int) []bitstream.BlockEdge {
 	return edges
 }
 
-// longestFreeRun computes the longest run of consecutive free block
-// indices within one die, given a board's free list in (die, index) order.
-func longestFreeRun(free []cluster.GlobalBlockRef) int {
-	best, run := 0, 0
-	for i, ref := range free {
-		if i > 0 && ref.Die == free[i-1].Die && ref.Index == free[i-1].Index+1 {
-			run++
-		} else {
-			run = 1
-		}
-		if run > best {
-			best = run
-		}
-	}
-	return best
-}
-
 // PlacementScore grades one deployed application's current placement.
 func (ct *Controller) PlacementScore(app string) (PlacementScore, error) {
 	ct.mu.Lock()
@@ -143,10 +126,10 @@ func (ct *Controller) scoreLocked(app string, dep *Deployment) PlacementScore {
 func (ct *Controller) Placement() ClusterPlacement {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.placementLocked()
+	return ct.placementLocked(ct.DB.BoardStats())
 }
 
-func (ct *Controller) placementLocked() ClusterPlacement {
+func (ct *Controller) placementLocked(boards []BoardStat) ClusterPlacement {
 	cp := ClusterPlacement{}
 	// Deterministic app order: sort before scoring (mapdeterminism).
 	apps := make([]string, 0, len(ct.deployed))
@@ -160,10 +143,8 @@ func (ct *Controller) placementLocked() ClusterPlacement {
 		cp.InterDieTotal += sc.InterDie
 		cp.InterBoardTotal += sc.InterBoard
 	}
-	for b := range ct.Cluster.Boards {
-		// O(1) index read per board (freerun.go) — no block rescans.
-		free, longest := ct.DB.FreeContig(b)
-		bf := BoardFragmentation{Board: b, FreeBlocks: free, LongestRun: longest}
+	for b, st := range boards {
+		bf := BoardFragmentation{Board: b, FreeBlocks: st.Free, LongestRun: st.LongestRun}
 		cp.Boards = append(cp.Boards, bf)
 		cp.FreeBlocks += bf.FreeBlocks
 		if bf.LongestRun > cp.LongestFreeRun {

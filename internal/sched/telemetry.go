@@ -3,7 +3,6 @@ package sched
 import (
 	"strconv"
 
-	"vital/internal/memvirt"
 	"vital/internal/telemetry"
 )
 
@@ -33,11 +32,13 @@ func healthValue(h BoardHealth) float64 {
 }
 
 // registerTelemetry resolves the controller's histogram handles and
-// registers its scrape-time gauges and counters: occupancy and health per
-// board, deployed apps, compile-cache hit/miss totals, and per-kind event
-// counters. Scrape-time callbacks read live state (ResourceDB and the
-// event log are internally synchronized; only the deployed map needs
-// ct.mu), so steady-state operations keep no extra bookkeeping.
+// registers its one collector. Everything the controller's state implies is
+// emitted at scrape time from the snapshot Metrics assembles under a single
+// ct.mu hold, the same one JSON /metrics renders. Deploy and undeploy
+// therefore do no registry work, and a board or app series exists exactly
+// while the board or app does: an undeployed app is not in the snapshot, so
+// nothing is emitted for it, and one redeployed under the same name restarts
+// its counters at zero (Prometheus counter-reset semantics).
 func (ct *Controller) registerTelemetry() {
 	r := ct.Reg
 	ct.lat = opLatencies{
@@ -48,156 +49,82 @@ func (ct *Controller) registerTelemetry() {
 		evacuate: r.Histogram("vital_evacuate_seconds", "Failed-board evacuation latency (all resident apps).", nil),
 		defrag:   r.Histogram("vital_defrag_seconds", "Incremental defragmentation step latency (bounded block moves).", nil),
 	}
-	r.GaugeFunc("vital_deployed_apps", "Applications currently deployed.", func() float64 {
-		ct.mu.Lock()
-		defer ct.mu.Unlock()
-		return float64(len(ct.deployed))
-	})
-	r.GaugeFunc("vital_total_blocks", "Physical blocks in the cluster.", func() float64 {
-		return float64(ct.Cluster.TotalBlocks())
-	})
-	r.GaugeFunc("vital_used_blocks", "Physical blocks claimed by deployments.", func() float64 {
-		return float64(ct.DB.UsedBlocks())
-	})
-	for b := range ct.Cluster.Boards {
-		b := b
-		lbl := telemetry.L("board", strconv.Itoa(b))
-		r.GaugeFunc("vital_board_used_blocks", "Blocks in use, per board.", func() float64 {
-			return float64(ct.DB.UsedOnBoard(b))
-		}, lbl)
-		r.GaugeFunc("vital_board_free_blocks", "Allocatable free blocks, per board (0 when the board is not healthy).", func() float64 {
-			return float64(len(ct.DB.FreeOnBoard(b)))
-		}, lbl)
-		r.GaugeFunc("vital_board_health", "Board health: 0 healthy, 1 degraded, 2 failed.", func() float64 {
-			return healthValue(ct.DB.Health(b))
-		}, lbl)
-		// Free-run index reads (freerun.go): contiguity shape per board.
-		r.GaugeFunc("vital_board_longest_free_run", "Longest run of consecutive free blocks on the board (0 when not healthy).", func() float64 {
-			_, longest := ct.DB.FreeContig(b)
-			return float64(longest)
-		}, lbl)
-		r.GaugeFunc("vital_board_free_runs", "Number of free runs on the board — more runs at equal free capacity means more fragmentation.", func() float64 {
-			return float64(len(ct.DB.Runs(b)))
-		}, lbl)
-	}
-	r.CounterFunc("vital_trace_evicted_total", "Trace segments overwritten by the bounded trace ring — nonzero means GET /trace/{id} answers may be partial.", func() float64 {
-		return float64(ct.Tracer.Evicted())
-	})
-	r.CounterFunc("vital_cache_hits_total", "Compile-cache hits.", func() float64 {
-		return float64(ct.Cache.Stats().Hits)
-	})
-	r.CounterFunc("vital_cache_misses_total", "Compile-cache misses.", func() float64 {
-		return float64(ct.Cache.Stats().Misses)
-	})
-	r.GaugeFunc("vital_cache_entries", "Compile-cache entries resident.", func() float64 {
-		return float64(ct.Cache.Stats().Entries)
-	})
-	r.CounterFunc("vital_defrag_moves_total", "Blocks relocated by the incremental defragmenter (DefragStep).", func() float64 {
-		return float64(ct.defragMoves.Load())
-	})
-	for _, k := range allEventKinds {
-		k := k
-		r.CounterFunc("vital_events_total", "Controller audit-log events by kind.", func() float64 {
-			return float64(ct.log.Counts()[k])
-		}, telemetry.L("kind", string(k)))
-	}
-	// Placement-quality gauges (DESIGN.md §11): cluster-wide crossing
-	// totals and fragmentation, recomputed live at scrape time.
-	r.GaugeFunc("vital_placement_cluster_inter_die_crossings", "Inter-die channel crossings across all deployments.", func() float64 {
-		return float64(ct.Placement().InterDieTotal)
-	})
-	r.GaugeFunc("vital_placement_cluster_inter_board_crossings", "Inter-board channel crossings across all deployments.", func() float64 {
-		return float64(ct.Placement().InterBoardTotal)
-	})
-	r.GaugeFunc("vital_fragmentation_index", "1 − longest free run / free blocks: 0 when free capacity is contiguous.", func() float64 {
-		return ct.Placement().FragmentationIndex
-	})
-	r.GaugeFunc("vital_free_contiguity_blocks", "Longest run of physically consecutive free blocks cluster-wide.", func() float64 {
-		return float64(ct.Placement().LongestFreeRun)
-	})
-}
+	traceEvicted := r.CounterDesc("vital_trace_evicted_total", "Trace segments overwritten by the bounded trace ring — nonzero means GET /trace/{id} answers may be partial.")
+	defragMoves := r.CounterDesc("vital_defrag_moves_total", "Blocks relocated by the incremental defragmenter (DefragStep).")
+	deployedApps := r.GaugeDesc("vital_deployed_apps", "Applications currently deployed.")
+	totalBlocks := r.GaugeDesc("vital_total_blocks", "Physical blocks in the cluster.")
+	usedBlocks := r.GaugeDesc("vital_used_blocks", "Physical blocks claimed by deployments.")
+	cacheHits := r.CounterDesc("vital_cache_hits_total", "Compile-cache hits.")
+	cacheMisses := r.CounterDesc("vital_cache_misses_total", "Compile-cache misses.")
+	cacheEntries := r.GaugeDesc("vital_cache_entries", "Compile-cache entries resident.")
+	events := r.CounterDesc("vital_events_total", "Controller audit-log events by kind.", "kind")
 
-// registerAppTelemetry installs scrape-time series for one deployed
-// application: memory-domain traffic, vNIC frame counters, and per-app
-// placement quality. Callbacks resolve the app's live state on every
-// scrape and read zero once it is undeployed (Prometheus counter-reset
-// semantics); redeploying under the same name rebinds the callbacks.
-// Called under ct.mu at deploy time — registration itself only takes the
-// registry lock, the callbacks take ct.mu only at scrape time.
-func (ct *Controller) registerAppTelemetry(app string) {
-	r := ct.Reg
-	lbl := telemetry.L("app", app)
-	domStats := func() memvirt.DomainStats {
-		ct.mu.Lock()
-		dep, ok := ct.deployed[app]
-		var primary int
-		if ok {
-			primary = dep.Primary
+	boardUsed := r.GaugeDesc("vital_board_used_blocks", "Blocks in use, per board.", "board")
+	boardFree := r.GaugeDesc("vital_board_free_blocks", "Allocatable free blocks, per board (0 when the board is not healthy).", "board")
+	boardHealth := r.GaugeDesc("vital_board_health", "Board health: 0 healthy, 1 degraded, 2 failed.", "board")
+	// Free-run index reads (freerun.go): contiguity shape per board.
+	boardLongestRun := r.GaugeDesc("vital_board_longest_free_run", "Longest run of consecutive free blocks on the board (0 when not healthy).", "board")
+	boardFreeRuns := r.GaugeDesc("vital_board_free_runs", "Number of free runs on the board — more runs at equal free capacity means more fragmentation.", "board")
+
+	// Placement quality: cluster-wide crossing totals and fragmentation,
+	// then per app.
+	clusterInterDie := r.GaugeDesc("vital_placement_cluster_inter_die_crossings", "Inter-die channel crossings across all deployments.")
+	clusterInterBoard := r.GaugeDesc("vital_placement_cluster_inter_board_crossings", "Inter-board channel crossings across all deployments.")
+	fragmentation := r.GaugeDesc("vital_fragmentation_index", "1 − longest free run / free blocks: 0 when free capacity is contiguous.")
+	freeContiguity := r.GaugeDesc("vital_free_contiguity_blocks", "Longest run of physically consecutive free blocks cluster-wide.")
+	appInterDie := r.GaugeDesc("vital_placement_inter_die_crossings", "Inter-die channel crossings of the app's current placement.", "app")
+	appInterBoard := r.GaugeDesc("vital_placement_inter_board_crossings", "Inter-board channel crossings of the app's current placement.", "app")
+	appQuality := r.GaugeDesc("vital_placement_quality", "Placement quality in [0,1]: 1 when every channel stays on-die.", "app")
+
+	memRead := r.CounterDesc("vital_mem_read_bytes_total", "Monitored DRAM bytes read through the app's memory domain.", "app")
+	memWritten := r.CounterDesc("vital_mem_written_bytes_total", "Monitored DRAM bytes written through the app's memory domain.", "app")
+	memFaults := r.CounterDesc("vital_mem_faults_total", "Memory faults (unmapped accesses) in the app's domain.", "app")
+	tlbHits := r.CounterDesc("vital_mem_tlb_hits_total", "TLB hits in the app's memory domain.", "app")
+	tlbMisses := r.CounterDesc("vital_mem_tlb_misses_total", "TLB misses in the app's memory domain.", "app")
+	memAllocated := r.GaugeDesc("vital_mem_allocated_bytes", "DRAM bytes currently mapped in the app's memory domain.", "app")
+	nicTx := r.CounterDesc("vital_vnic_tx_frames_total", "Frames transmitted by the app's virtual NIC.", "app")
+	nicRx := r.CounterDesc("vital_vnic_rx_frames_total", "Frames received by the app's virtual NIC.", "app")
+
+	r.Collect(func(emit telemetry.Emit) {
+		m := ct.Metrics()
+		emit(traceEvicted, float64(ct.Tracer.Evicted()))
+		emit(defragMoves, float64(ct.defragMoves.Load()))
+		emit(deployedApps, float64(m.Deployed))
+		emit(totalBlocks, float64(m.TotalBlocks))
+		emit(usedBlocks, float64(m.UsedBlocks))
+		emit(cacheHits, float64(m.Cache.Hits))
+		emit(cacheMisses, float64(m.Cache.Misses))
+		emit(cacheEntries, float64(m.Cache.Entries))
+		for _, k := range allEventKinds {
+			emit(events, float64(m.Events[k]), string(k))
 		}
-		ct.mu.Unlock()
-		if !ok {
-			return memvirt.DomainStats{}
+		for b, st := range m.boards {
+			board := strconv.Itoa(b)
+			emit(boardUsed, float64(st.Used), board)
+			emit(boardFree, float64(st.Free), board)
+			emit(boardHealth, healthValue(st.Health), board)
+			emit(boardLongestRun, float64(st.LongestRun), board)
+			emit(boardFreeRuns, float64(st.FreeRuns), board)
 		}
-		d, ok := ct.Cluster.Boards[primary].Mem.Domain(app)
-		if !ok {
-			return memvirt.DomainStats{}
+		emit(clusterInterDie, float64(m.Placement.InterDieTotal))
+		emit(clusterInterBoard, float64(m.Placement.InterBoardTotal))
+		emit(fragmentation, m.Placement.FragmentationIndex)
+		emit(freeContiguity, float64(m.Placement.LongestFreeRun))
+		for i, sc := range m.Placement.Apps {
+			emit(appInterDie, float64(sc.InterDie), sc.App)
+			emit(appInterBoard, float64(sc.InterBoard), sc.App)
+			emit(appQuality, sc.Quality, sc.App)
+			ac := m.apps[i]
+			emit(memRead, float64(ac.mem.BytesRead), sc.App)
+			emit(memWritten, float64(ac.mem.BytesWrit), sc.App)
+			emit(memFaults, float64(ac.mem.Faults), sc.App)
+			emit(tlbHits, float64(ac.mem.TLBHits), sc.App)
+			emit(tlbMisses, float64(ac.mem.TLBMisses), sc.App)
+			emit(memAllocated, float64(ac.mem.AllocatedBytes), sc.App)
+			emit(nicTx, float64(ac.nic.TxFrames), sc.App)
+			emit(nicRx, float64(ac.nic.RxFrames), sc.App)
 		}
-		return d.Stats()
-	}
-	r.CounterFunc("vital_mem_read_bytes_total", "Monitored DRAM bytes read through the app's memory domain.", func() float64 {
-		return float64(domStats().BytesRead)
-	}, lbl)
-	r.CounterFunc("vital_mem_written_bytes_total", "Monitored DRAM bytes written through the app's memory domain.", func() float64 {
-		return float64(domStats().BytesWrit)
-	}, lbl)
-	r.CounterFunc("vital_mem_faults_total", "Memory faults (unmapped accesses) in the app's domain.", func() float64 {
-		return float64(domStats().Faults)
-	}, lbl)
-	r.CounterFunc("vital_mem_tlb_hits_total", "TLB hits in the app's memory domain.", func() float64 {
-		return float64(domStats().TLBHits)
-	}, lbl)
-	r.CounterFunc("vital_mem_tlb_misses_total", "TLB misses in the app's memory domain.", func() float64 {
-		return float64(domStats().TLBMisses)
-	}, lbl)
-	r.GaugeFunc("vital_mem_allocated_bytes", "DRAM bytes currently mapped in the app's memory domain.", func() float64 {
-		return float64(domStats().AllocatedBytes)
-	}, lbl)
-	nicStats := func() memvirt.VNICStats {
-		ct.mu.Lock()
-		dep, ok := ct.deployed[app]
-		ct.mu.Unlock()
-		if !ok || dep.VNIC == nil {
-			return memvirt.VNICStats{}
-		}
-		return dep.VNIC.Stats()
-	}
-	r.CounterFunc("vital_vnic_tx_frames_total", "Frames transmitted by the app's virtual NIC.", func() float64 {
-		return float64(nicStats().TxFrames)
-	}, lbl)
-	r.CounterFunc("vital_vnic_rx_frames_total", "Frames received by the app's virtual NIC.", func() float64 {
-		return float64(nicStats().RxFrames)
-	}, lbl)
-	r.GaugeFunc("vital_placement_inter_die_crossings", "Inter-die channel crossings of the app's current placement.", func() float64 {
-		sc, err := ct.PlacementScore(app)
-		if err != nil {
-			return 0
-		}
-		return float64(sc.InterDie)
-	}, lbl)
-	r.GaugeFunc("vital_placement_inter_board_crossings", "Inter-board channel crossings of the app's current placement.", func() float64 {
-		sc, err := ct.PlacementScore(app)
-		if err != nil {
-			return 0
-		}
-		return float64(sc.InterBoard)
-	}, lbl)
-	r.GaugeFunc("vital_placement_quality", "Placement quality in [0,1]: 1 when every channel stays on-die.", func() float64 {
-		sc, err := ct.PlacementScore(app)
-		if err != nil {
-			return 0
-		}
-		return sc.Quality
-	}, lbl)
+	})
 }
 
 // finishSpan annotates a span with the operation's error, if any, and ends

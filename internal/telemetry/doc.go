@@ -7,10 +7,20 @@
 // It has three parts:
 //
 //   - Metrics: a Registry of named counters, gauges and fixed-bucket latency
-//     histograms (with p50/p90/p99 summaries). Handles are resolved once and
-//     then updated with atomic operations, so instrumenting a hot path costs
-//     nanoseconds, and scrape-time callbacks (GaugeFunc/CounterFunc) read
-//     live state without per-operation bookkeeping.
+//     histograms (with p50/p90/p99 summaries). Events the instrumented code
+//     counts itself go through handles, resolved once and then updated with
+//     atomic operations, so instrumenting a hot path costs nanoseconds.
+//     State that already lives somewhere (a controller's deployments, a
+//     queue's depth) is not mirrored: its owner declares the families
+//     (GaugeDesc/CounterDesc) and registers one collector (Collect) that
+//     emits every sample the state implies at read time, under one hold of
+//     the owner's lock. A per-entity series therefore exists exactly while
+//     the entity does; GaugeFunc/CounterFunc are the one-series convenience
+//     for fixed, per-process values. One walk reads the registry — families
+//     and series pointers copied under the registry lock, handles loaded and
+//     collectors run outside it — and Samples, WritePrometheus and Snapshot
+//     all render from it, so readers are safe beside writers that create
+//     series.
 //
 //   - Tracing: a Tracer records lightweight spans (parent/child, per-span
 //     attrs) into a bounded in-memory ring of recent traces. A nil *Span is

@@ -16,61 +16,37 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // WritePrometheus renders the registry in the Prometheus text format:
 // families sorted by name, each preceded by its # HELP / # TYPE pair,
 // histograms as cumulative _bucket{le=...} series plus _sum and _count.
-// Scrape-time callbacks (GaugeFunc/CounterFunc) are evaluated here.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fams, sigs := r.collect()
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+	point := func(name string, labels []Label, v float64, ex *Exemplar) {
+		writeSample(bw, name, labels, v, ex)
+	}
+	for _, f := range r.walk() {
+		if f.fam.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.fam.name, escapeHelp(f.fam.help))
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		for _, sig := range sigs[f.name] {
-			s := f.series[sig]
-			switch {
-			case s.hist != nil:
-				writeHistogram(bw, f.name, s)
-			case s.fn != nil:
-				writeSample(bw, f.name, s.labels, nil, s.fn(), nil)
-			case s.counter != nil:
-				writeSample(bw, f.name, s.labels, nil, float64(s.counter.Value()), nil)
-			case s.gauge != nil:
-				writeSample(bw, f.name, s.labels, nil, s.gauge.Value(), nil)
-			}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.fam.name, f.fam.typ)
+		for _, s := range f.series {
+			s.expand(f.fam.name, point)
 		}
 	}
 	return bw.Flush()
 }
 
-func writeHistogram(w io.Writer, name string, s *series) {
-	cum, count, sum := s.hist.snapshot()
-	exemplars := s.hist.Exemplars()
-	for i, upper := range s.hist.uppers {
-		writeSample(w, name+"_bucket", s.labels, &Label{Key: "le", Value: formatFloat(upper)}, float64(cum[i]), exemplars[i])
-	}
-	writeSample(w, name+"_bucket", s.labels, &Label{Key: "le", Value: "+Inf"}, float64(cum[len(cum)-1]), exemplars[len(exemplars)-1])
-	writeSample(w, name+"_sum", s.labels, nil, sum, nil)
-	writeSample(w, name+"_count", s.labels, nil, float64(count), nil)
-}
-
-// writeSample emits one `name{labels} value` line. extra (the histogram le
-// label) is appended after the series labels; a non-nil exemplar appends
-// the OpenMetrics-style `# {trace_id="..."} value` suffix linking the
-// bucket to the trace that last landed in it.
-func writeSample(w io.Writer, name string, labels []Label, extra *Label, value float64, ex *Exemplar) {
+// writeSample emits one `name{labels} value` line, labels sorted by key.
+// A non-nil exemplar appends the OpenMetrics-style
+// `# {trace_id="..."} value` suffix linking the bucket to the trace that
+// last landed in it.
+func writeSample(w io.Writer, name string, labels []Label, value float64, ex *Exemplar) {
 	suffix := ""
 	if ex != nil {
 		suffix = fmt.Sprintf(" # {trace_id=\"%s\"} %s", escapeLabel(ex.TraceID), formatFloat(ex.Value))
 	}
-	ls := labels
-	if extra != nil {
-		ls = append(append(make([]Label, 0, len(labels)+1), labels...), *extra)
-	}
-	if len(ls) == 0 {
+	if len(labels) == 0 {
 		fmt.Fprintf(w, "%s %s%s\n", name, formatFloat(value), suffix)
 		return
 	}
-	sorted := append([]Label(nil), ls...)
+	sorted := append([]Label(nil), labels...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 	parts := make([]string, len(sorted))
 	for i, l := range sorted {

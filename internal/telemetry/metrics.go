@@ -135,16 +135,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID})
 }
 
-// Exemplars snapshots the per-bucket exemplars, aligned with the bucket
-// ladder (+Inf last); slots without a traced observation are nil.
-func (h *Histogram) Exemplars() []*Exemplar {
-	out := make([]*Exemplar, len(h.exemplars))
-	for i := range h.exemplars {
-		out[i] = h.exemplars[i].Load()
-	}
-	return out
-}
-
 // ObserveDuration records d as seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
@@ -216,18 +206,34 @@ func (h *Histogram) quantile(cum []uint64, count uint64, q float64) float64 {
 	return h.uppers[len(h.uppers)-1]
 }
 
-// series is one labeled instance within a family: exactly one of counter,
-// gauge, hist or fn is set (fn serves both counter- and gauge-typed
-// scrape-time callbacks).
+// series is one labeled instance within a family. A handle's series has
+// exactly one of counter, gauge or hist set; a collector's sample carries
+// its value. sig is the canonical label signature families index and
+// renderers sort by.
 type series struct {
+	sig     string
 	labels  []Label
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64
+	value   float64
 }
 
-// family groups the series of one metric name.
+// load is the series' current value (a histogram has none: renderers expand
+// or summarise it).
+func (s *series) load() float64 {
+	switch {
+	case s.counter != nil:
+		return float64(s.counter.Value())
+	case s.gauge != nil:
+		return s.gauge.Value()
+	}
+	return s.value
+}
+
+// family groups the series of one metric name. The series map is guarded by
+// the registry's mutex and never touched outside it; the rest is fixed at
+// creation.
 type family struct {
 	name   string
 	help   string
@@ -238,10 +244,13 @@ type family struct {
 
 // Registry is a set of named metrics. Get-or-create lookups take a mutex;
 // the returned handles are lock-free, so hot paths resolve once and update
-// forever.
+// forever. State that already lives elsewhere (a controller's deployment
+// table, a queue's depth) is not mirrored into handles: its owner registers
+// one collector, which emits that state's samples at every walk.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu         sync.Mutex
+	families   map[string]*family
+	collectors []func(Emit) // append-only
 }
 
 // NewRegistry returns an empty registry.
@@ -254,8 +263,11 @@ func signature(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	ls := labels
+	if len(ls) > 1 {
+		ls = append([]Label(nil), labels...)
+		sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	}
 	var b strings.Builder
 	for i, l := range ls {
 		if i > 0 {
@@ -279,16 +291,10 @@ func validate(name string, labels []Label) {
 	}
 }
 
-// lookup returns the family and series for (name, labels), creating either
-// as needed. A name registered twice with different types is a programming
-// error and panics. The typed slot (counter, gauge or histogram) is filled
-// in while r.mu is still held: a series must be fully built before any
-// concurrent lookup of the same (name, labels) can observe it, otherwise a
-// second caller races its read of the slot against the creator's write.
-func (r *Registry) lookup(name, help string, typ MetricType, uppers []float64, labels []Label) *series {
-	validate(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// familyLocked returns the family called name, creating it as needed; the
+// caller holds r.mu. A name registered twice with different types is a
+// programming error and panics.
+func (r *Registry) familyLocked(name, help string, typ MetricType, uppers []float64) *family {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, uppers: uppers, series: map[string]*series{}}
@@ -296,10 +302,23 @@ func (r *Registry) lookup(name, help string, typ MetricType, uppers []float64, l
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s and %s", name, f.typ, typ))
 	}
+	return f
+}
+
+// lookup returns the series for (name, labels), creating it and its family
+// as needed. The typed slot (counter, gauge or histogram) is filled in
+// while r.mu is still held: a series must be fully built before any
+// concurrent lookup of the same (name, labels) can observe it, otherwise a
+// second caller races its read of the slot against the creator's write.
+func (r *Registry) lookup(name, help string, typ MetricType, uppers []float64, labels []Label) *series {
+	validate(name, labels)
 	sig := signature(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyLocked(name, help, typ, uppers)
 	s, ok := f.series[sig]
 	if !ok {
-		s = &series{labels: append([]Label(nil), labels...)}
+		s = &series{sig: sig, labels: append([]Label(nil), labels...)}
 		switch typ {
 		case TypeCounter:
 			s.counter = &Counter{}
@@ -315,52 +334,164 @@ func (r *Registry) lookup(name, help string, typ MetricType, uppers []float64, l
 
 // Counter returns the counter for (name, labels), creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.lookup(name, help, TypeCounter, nil, labels)
-	if s.counter == nil {
-		panic(fmt.Sprintf("telemetry: metric %q already registered as a callback", name))
-	}
-	return s.counter
+	return r.lookup(name, help, TypeCounter, nil, labels).counter
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, TypeGauge, nil, labels)
-	if s.gauge == nil {
-		panic(fmt.Sprintf("telemetry: metric %q already registered as a callback", name))
-	}
-	return s.gauge
+	return r.lookup(name, help, TypeGauge, nil, labels).gauge
 }
 
 // Histogram returns the histogram for (name, labels), creating it with the
 // given bucket upper bounds (nil selects DefBuckets) on first use. Every
 // series of a family shares the family's bucket ladder.
 func (r *Registry) Histogram(name, help string, uppers []float64, labels ...Label) *Histogram {
-	s := r.lookup(name, help, TypeHistogram, uppers, labels)
-	if s.hist == nil {
-		panic(fmt.Sprintf("telemetry: metric %q already registered as a callback", name))
+	return r.lookup(name, help, TypeHistogram, uppers, labels).hist
+}
+
+// Desc is a counter or gauge family declared for a collector to emit into,
+// with the label keys its series carry.
+type Desc struct {
+	f    *family
+	keys []string
+}
+
+// Emit reports one sample of a declared family to the walk in progress;
+// labelValues pair with the Desc's keys. The series a walk is given must
+// be distinct.
+type Emit func(d Desc, value float64, labelValues ...string)
+
+// CounterDesc declares a counter family for a collector; the values emitted
+// for one label set must be monotone while the entity they describe lives.
+func (r *Registry) CounterDesc(name, help string, labelKeys ...string) Desc {
+	return r.desc(name, help, TypeCounter, labelKeys)
+}
+
+// GaugeDesc declares a gauge family for a collector.
+func (r *Registry) GaugeDesc(name, help string, labelKeys ...string) Desc {
+	return r.desc(name, help, TypeGauge, labelKeys)
+}
+
+func (r *Registry) desc(name, help string, typ MetricType, keys []string) Desc {
+	labels := make([]Label, len(keys))
+	for i, k := range keys {
+		labels[i].Key = k
 	}
-	return s.hist
+	validate(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Desc{f: r.familyLocked(name, help, typ, nil), keys: keys}
 }
 
-// GaugeFunc registers a scrape-time callback as a gauge series: fn is
-// evaluated at every exposition and snapshot, so the value is always live
-// and the instrumented code keeps no per-operation bookkeeping.
+// Collect registers a collector: fn runs once per walk, outside the
+// registry lock, and emits the current samples of the families its owner
+// declared. A series exists exactly while its collector emits it: nothing
+// is registered per entity and nothing needs unregistering when it goes.
+func (r *Registry) Collect(fn func(emit Emit)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, fn)
+}
+
+// GaugeFunc registers a one-series collector whose value is fn(), for the
+// fixed, per-process series; per-entity state belongs in one Collect.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, help, TypeGauge, nil, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.gauge, s.counter = nil, nil
-	s.fn = fn
+	r.collectFunc(name, help, TypeGauge, fn, labels)
 }
 
-// CounterFunc registers a scrape-time callback as a counter series; fn must
-// be monotone (it reads an existing counter, e.g. cache hit totals).
+// CounterFunc is GaugeFunc for a counter; fn must be monotone.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, help, TypeCounter, nil, labels)
+	r.collectFunc(name, help, TypeCounter, fn, labels)
+}
+
+func (r *Registry) collectFunc(name, help string, typ MetricType, fn func() float64, labels []Label) {
+	keys, values := make([]string, len(labels)), make([]string, len(labels))
+	for i, l := range labels {
+		keys[i], values[i] = l.Key, l.Value
+	}
+	d := r.desc(name, help, typ, keys)
+	r.Collect(func(emit Emit) { emit(d, fn(), values...) })
+}
+
+// walkedFamily is one family as a walk observed it: series is the walk's
+// own copy, sorted by label signature (fam.series stays behind r.mu).
+type walkedFamily struct {
+	fam    *family
+	series []*series
+}
+
+// walk is the registry's one reader; Samples, WritePrometheus and Snapshot
+// render from it. Under r.mu it copies every family and its series
+// pointers; after the unlock it runs each collector once. No reader
+// therefore touches a family's map while a writer may be creating a series
+// in it, and a collector is free to take its owner's locks. Families come
+// back sorted by name; one nothing emitted into is left out.
+func (r *Registry) walk() []walkedFamily {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.gauge, s.counter = nil, nil
-	s.fn = fn
+	fams := make([]walkedFamily, 0, len(r.families))
+	for _, f := range r.families {
+		ws := make([]*series, 0, len(f.series))
+		//lint:ignore mapdeterminism every family's series are sorted below, once the collectors have added theirs
+		for _, s := range f.series {
+			ws = append(ws, s)
+		}
+		fams = append(fams, walkedFamily{fam: f, series: ws})
+	}
+	collectors := r.collectors
+	r.mu.Unlock()
+
+	sort.Slice(fams, func(i, j int) bool { return fams[i].fam.name < fams[j].fam.name })
+	slot := make(map[*family]int, len(fams))
+	for i, f := range fams {
+		slot[f.fam] = i
+	}
+	emit := func(d Desc, value float64, labelValues ...string) {
+		if len(labelValues) != len(d.keys) {
+			panic(fmt.Sprintf("telemetry: metric %q emitted with %d label values for keys %v", d.f.name, len(labelValues), d.keys))
+		}
+		labels := make([]Label, len(d.keys))
+		for i, k := range d.keys {
+			labels[i] = Label{Key: k, Value: labelValues[i]}
+		}
+		f := &fams[slot[d.f]]
+		f.series = append(f.series, &series{sig: signature(labels), labels: labels, value: value})
+	}
+	for _, collect := range collectors {
+		collect(emit)
+	}
+
+	live := fams[:0]
+	for _, f := range fams {
+		if len(f.series) > 0 {
+			sort.Slice(f.series, func(i, j int) bool { return f.series[i].sig < f.series[j].sig })
+			live = append(live, f)
+		}
+	}
+	return live
+}
+
+// expand renders the series as exposition-shaped points and is the only
+// place a histogram is flattened: a counter or gauge is one point; a
+// histogram is one cumulative <name>_bucket point per bound (+Inf last,
+// each with its exemplar if any), then <name>_sum and <name>_count. Each
+// bucket is thereby an ordinary monotone counter series keyed by le, which
+// lets a store scraped from Samples answer quantile-over-histogram queries.
+func (s *series) expand(name string, point func(name string, labels []Label, v float64, ex *Exemplar)) {
+	if s.hist == nil {
+		point(name, s.labels, s.load(), nil)
+		return
+	}
+	cum, count, sum := s.hist.snapshot()
+	for i := range cum {
+		le := "+Inf"
+		if i < len(s.hist.uppers) {
+			le = formatFloat(s.hist.uppers[i])
+		}
+		labels := append(append(make([]Label, 0, len(s.labels)+1), s.labels...), Label{Key: "le", Value: le})
+		point(name+"_bucket", labels, float64(cum[i]), s.hist.exemplars[i].Load())
+	}
+	point(name+"_sum", s.labels, sum, nil)
+	point(name+"_count", s.labels, float64(count), nil)
 }
 
 // SeriesSnapshot is one series' current value for JSON payloads.
@@ -379,26 +510,18 @@ type FamilySnapshot struct {
 }
 
 // Snapshot returns every family's current state, sorted by name with
-// series sorted by label signature — a deterministic JSON rendering.
+// series sorted by label signature — a deterministic JSON rendering, with
+// each histogram condensed to its summary.
 func (r *Registry) Snapshot() []FamilySnapshot {
-	fams, sigs := r.collect()
+	fams := r.walk()
 	out := make([]FamilySnapshot, 0, len(fams))
 	for _, f := range fams {
-		fs := FamilySnapshot{Name: f.name, Type: f.typ, Help: f.help}
-		for _, sig := range sigs[f.name] {
-			s := f.series[sig]
-			ss := SeriesSnapshot{Labels: labelMap(s.labels)}
-			switch {
-			case s.hist != nil:
+		fs := FamilySnapshot{Name: f.fam.name, Type: f.fam.typ, Help: f.fam.help, Series: make([]SeriesSnapshot, 0, len(f.series))}
+		for _, s := range f.series {
+			ss := SeriesSnapshot{Labels: labelMap(s.labels), Value: s.load()}
+			if s.hist != nil {
 				sum := s.hist.Summary()
-				ss.Histogram = &sum
-				ss.Value = sum.Sum
-			case s.fn != nil:
-				ss.Value = s.fn()
-			case s.counter != nil:
-				ss.Value = float64(s.counter.Value())
-			case s.gauge != nil:
-				ss.Value = s.gauge.Value()
+				ss.Histogram, ss.Value = &sum, sum.Sum
 			}
 			fs.Series = append(fs.Series, ss)
 		}
@@ -416,26 +539,4 @@ func labelMap(labels []Label) map[string]string {
 		m[l.Key] = l.Value
 	}
 	return m
-}
-
-// collect snapshots the family table in deterministic order: families
-// sorted by name, each family's series signatures sorted. Callers iterate
-// without holding r.mu (series handles are internally synchronized; fn
-// callbacks may take their own locks).
-func (r *Registry) collect() ([]*family, map[string][]string) {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	sigs := make(map[string][]string, len(r.families))
-	for name, f := range r.families {
-		fams = append(fams, f)
-		ss := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			ss = append(ss, sig)
-		}
-		sort.Strings(ss)
-		sigs[name] = ss
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams, sigs
 }

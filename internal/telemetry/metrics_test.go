@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,5 +237,111 @@ func TestRegistryConcurrentLazyCreate(t *testing.T) {
 	wg.Wait()
 	if got := reg.Counter("lazy_total", "", L("code", "200")).Value(); got != workers*50 {
 		t.Fatalf("counter = %d, want %d", got, workers*50)
+	}
+}
+
+// A collector's samples exist exactly while it emits them: nothing is
+// registered per entity, so an entity that goes leaves no series behind,
+// and all three renderers show the same walk.
+func TestCollectorSeriesFollowTheEntity(t *testing.T) {
+	r := NewRegistry()
+	live := map[string]float64{}
+	used := r.GaugeDesc("vital_test_used", "Blocks held, per app.", "app")
+	reads := r.CounterDesc("vital_test_reads_total", "Reads, per app.", "app")
+	calls := 0
+	r.Collect(func(emit Emit) {
+		calls++
+		for _, app := range []string{"b", "a"} { // emitted out of order on purpose
+			if v, ok := live[app]; ok {
+				emit(used, v, app)
+				emit(reads, 2*v, app)
+			}
+		}
+	})
+	if snap := r.Snapshot(); len(snap) != 0 {
+		t.Fatalf("families with nothing emitted must be left out, got %+v", snap)
+	}
+	live["a"], live["b"] = 1, 2
+	snap := r.Snapshot()
+	if len(snap) != 2 || snap[0].Name != "vital_test_reads_total" || snap[0].Type != TypeCounter ||
+		snap[1].Name != "vital_test_used" || snap[1].Help != "Blocks held, per app." {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if s := snap[1].Series; len(s) != 2 || s[0].Labels["app"] != "a" || s[0].Value != 1 || s[1].Value != 2 {
+		t.Fatalf("series not sorted by label signature: %+v", s)
+	}
+	before := calls
+	if got := r.Samples(); len(got) != 4 || got[0].Name != "vital_test_reads_total" || got[0].Value != 2 {
+		t.Fatalf("samples = %+v", got)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if calls != before+2 {
+		t.Fatalf("collector ran %d times over two walks, want once per walk", calls-before)
+	}
+	if err := ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), `vital_test_used{app="b"} 2`) {
+		t.Fatalf("exposition missing the live app:\n%s", buf.String())
+	}
+	delete(live, "b")
+	buf.Reset()
+	_ = r.WritePrometheus(&buf)
+	if strings.Contains(buf.String(), `app="b"`) {
+		t.Fatalf("series outlived its entity:\n%s", buf.String())
+	}
+}
+
+// Readers must be able to run beside writers that lazily create series.
+// Before the registry had one walk, WritePrometheus, Snapshot and Samples
+// each indexed a family's series map after releasing the registry lock, so
+// this test died with "fatal error: concurrent map read and map write".
+func TestRegistryReadersBesideSeriesCreation(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("vital_test_seconds", "Latency by route.", nil, L("route", "seed")).Observe(0.001)
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 2000; i++ {
+				code := strconv.Itoa(w*10000 + i)
+				r.Counter("vital_test_requests_total", "Requests by code.", L("code", code)).Inc()
+				r.Gauge("vital_test_depth", "Depth by code.", L("code", code)).Set(1)
+				r.Histogram("vital_test_seconds", "Latency by route.", nil, L("route", code)).Observe(0.001)
+			}
+		}(w)
+	}
+	for _, read := range []func(){
+		func() { _ = r.WritePrometheus(io.Discard) },
+		func() { r.Snapshot() },
+		func() { r.Samples() },
+	} {
+		readers.Add(1)
+		go func(read func()) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}(read)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	series := 0
+	for _, f := range r.Snapshot() {
+		series += len(f.Series)
+	}
+	if want := 3*4*2000 + 1; series != want {
+		t.Fatalf("registry holds %d series, want %d", series, want)
 	}
 }

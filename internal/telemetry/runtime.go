@@ -8,64 +8,11 @@ package telemetry
 import (
 	"runtime"
 	"sync"
-	"time"
 )
 
 // gcPauseBuckets spans the pauses a healthy Go collector produces (tens
 // of microseconds) up to the pathological ones worth alerting on.
 var gcPauseBuckets = []float64{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1}
-
-// runtimeSampler feeds the vital_go_* families. Gauges read fresh
-// MemStats on every scrape; the pause histogram is fed incrementally by
-// draining the MemStats pause ring — each GC cycle's pause is observed
-// exactly once, so the histogram is a true distribution, not a gauge.
-type runtimeSampler struct {
-	mu        sync.Mutex
-	lastNumGC uint32
-	started   bool
-	pauses    *Histogram
-
-	memMu   sync.Mutex
-	memAt   time.Time
-	memStat runtime.MemStats
-}
-
-// mem returns MemStats at most one refresh per millisecond — three
-// GaugeFunc callbacks per scrape must not mean three stop-the-world
-// ReadMemStats calls.
-func (rs *runtimeSampler) mem() runtime.MemStats {
-	rs.memMu.Lock()
-	defer rs.memMu.Unlock()
-	if now := time.Now(); now.Sub(rs.memAt) > time.Millisecond {
-		runtime.ReadMemStats(&rs.memStat)
-		rs.memAt = now
-	}
-	return rs.memStat
-}
-
-// drainPauses observes every GC pause since the previous call. The first
-// call only records the watermark — historical pauses predate the
-// registration and would skew the window. The ring holds 256 entries;
-// more than 256 cycles between scrapes loses the oldest, which at any
-// sane scrape cadence means the process was not being scraped at all.
-func (rs *runtimeSampler) drainPauses() {
-	m := rs.mem()
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if !rs.started {
-		rs.started = true
-		rs.lastNumGC = m.NumGC
-		return
-	}
-	from := rs.lastNumGC
-	if m.NumGC-from > 256 {
-		from = m.NumGC - 256
-	}
-	for i := from; i < m.NumGC; i++ {
-		rs.pauses.Observe(float64(m.PauseNs[i%256]) / 1e9)
-	}
-	rs.lastNumGC = m.NumGC
-}
 
 // RegisterRuntimeMetrics adds the Go runtime's health to reg:
 //
@@ -74,24 +21,37 @@ func (rs *runtimeSampler) drainPauses() {
 //	vital_go_gc_cycles_total   completed GC cycles
 //	vital_go_gc_pause_seconds  stop-the-world pause distribution
 //
-// Call once per registry, before the scrape loop starts; the pause
-// histogram catches up on each scrape via the gc_cycles callback.
+// Call once per registry, before the scrape loop starts. One collector
+// reads MemStats once per walk (ReadMemStats stops the world) and, before
+// the walk renders the histogram, drains the MemStats pause ring into it:
+// each GC cycle's pause since registration is observed exactly once, so
+// the histogram is a true distribution, not a gauge. The ring holds 256
+// entries; more than 256 cycles between scrapes loses the oldest, which
+// at any sane scrape cadence means the process was not being scraped.
 func RegisterRuntimeMetrics(reg *Registry) {
-	rs := &runtimeSampler{}
-	rs.pauses = reg.Histogram("vital_go_gc_pause_seconds",
-		"Stop-the-world GC pause durations.", gcPauseBuckets)
-	reg.GaugeFunc("vital_go_goroutines", "Live goroutines.", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	reg.GaugeFunc("vital_go_heap_bytes", "Live heap bytes (HeapAlloc).", func() float64 {
-		m := rs.mem()
-		return float64(m.HeapAlloc)
-	})
-	reg.CounterFunc("vital_go_gc_cycles_total", "Completed GC cycles.", func() float64 {
-		// Piggyback the pause drain on the counter read: every scrape that
-		// samples gc_cycles also folds the new pauses into the histogram.
-		rs.drainPauses()
-		m := rs.mem()
-		return float64(m.NumGC)
+	pauses := reg.Histogram("vital_go_gc_pause_seconds", "Stop-the-world GC pause durations.", gcPauseBuckets)
+	goroutines := reg.GaugeDesc("vital_go_goroutines", "Live goroutines.")
+	heap := reg.GaugeDesc("vital_go_heap_bytes", "Live heap bytes (HeapAlloc).")
+	cycles := reg.CounterDesc("vital_go_gc_cycles_total", "Completed GC cycles.")
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	var mu sync.Mutex // guards lastNumGC: walks may run concurrently
+	lastNumGC := m.NumGC
+	reg.Collect(func(emit Emit) {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		mu.Lock()
+		from := lastNumGC
+		if m.NumGC-from > 256 {
+			from = m.NumGC - 256
+		}
+		for i := from; i < m.NumGC; i++ {
+			pauses.Observe(float64(m.PauseNs[i%256]) / 1e9)
+		}
+		lastNumGC = m.NumGC
+		mu.Unlock()
+		emit(goroutines, float64(runtime.NumGoroutine()))
+		emit(heap, float64(m.HeapAlloc))
+		emit(cycles, float64(m.NumGC))
 	})
 }

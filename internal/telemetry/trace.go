@@ -8,8 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"vital/internal/ring"
 )
 
 // Attr is one key=value annotation on a span.
@@ -97,27 +98,22 @@ type Span struct {
 // Tracer records completed trace segments into a bounded ring (oldest
 // evicted first).
 type Tracer struct {
-	// evicted counts segments overwritten by the ring — the
-	// vital_trace_evicted_total source. Atomic: read lock-free at scrape
-	// time while commits hold mu.
-	evicted atomic.Uint64
-
-	mu    sync.Mutex
-	limit int
-	// ring is circular once full; next is the oldest slot.
-	ring []TraceData
-	next int
+	mu   sync.Mutex
+	ring *ring.Ring[TraceData]
 }
 
 // Evicted reports how many committed segments the ring has overwritten
-// since the tracer was created. A nonzero value means GET /trace/{id}
-// answers may be partial: a multi-segment trace can lose its early
-// segments while later ones survive.
+// since the tracer was created — the vital_trace_evicted_total source. A
+// nonzero value means GET /trace/{id} answers may be partial: a
+// multi-segment trace can lose its early segments while later ones
+// survive.
 func (tr *Tracer) Evicted() uint64 {
 	if tr == nil {
 		return 0
 	}
-	return tr.evicted.Load()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.ring.Evicted()
 }
 
 // newTraceID returns a random 32-hex-char trace ID. Randomness (rather
@@ -151,7 +147,7 @@ func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultTraceLimit
 	}
-	return &Tracer{limit: limit}
+	return &Tracer{ring: ring.New[TraceData](limit)}
 }
 
 // Start begins a new trace rooted at a span with the given name. Safe on a
@@ -308,13 +304,7 @@ func (sp *Span) End() {
 func (tr *Tracer) commit(td TraceData) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.ring) < tr.limit {
-		tr.ring = append(tr.ring, td)
-		return
-	}
-	tr.ring[tr.next] = td
-	tr.next = (tr.next + 1) % tr.limit
-	tr.evicted.Add(1)
+	tr.ring.Push(td)
 }
 
 // Get returns a completed trace by ID. When several segments of the
@@ -326,9 +316,9 @@ func (tr *Tracer) Get(id string) (TraceData, bool) {
 	}
 	tr.mu.Lock()
 	var segs []TraceData
-	for i := range tr.ring {
-		if tr.ring[i].ID == id {
-			segs = append(segs, tr.ring[i])
+	for _, seg := range tr.ring.Last(0) {
+		if seg.ID == id {
+			segs = append(segs, seg)
 		}
 	}
 	tr.mu.Unlock()
@@ -407,16 +397,10 @@ func (tr *Tracer) Recent(max int) []TraceSummary {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	n := len(tr.ring)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]TraceSummary, 0, n)
-	for i := 0; i < n; i++ {
-		// Walk backwards from the newest slot (next-1 once wrapped,
-		// len-1 while still growing).
-		idx := (tr.next + len(tr.ring) - 1 - i + len(tr.ring)) % len(tr.ring)
-		out = append(out, tr.ring[idx].TraceSummary)
+	segs := tr.ring.Last(max)
+	out := make([]TraceSummary, len(segs))
+	for i, seg := range segs {
+		out[len(segs)-1-i] = seg.TraceSummary
 	}
 	return out
 }

@@ -127,7 +127,7 @@ func TestMergeTracesPartialDetection(t *testing.T) {
 	// segment's root now orphans and the merge has no Parent==0 span.
 	var asyncSeg TraceData
 	tr.mu.Lock()
-	for _, td := range tr.ring {
+	for _, td := range tr.ring.Last(0) {
 		for _, sp := range td.AllSpans {
 			if sp.Name == "deploy.async" {
 				asyncSeg = td

@@ -216,7 +216,7 @@ func (db *DB) Query(q Query) (*Response, error) {
 // scrape histogram's family (the DB's owner). No-op until Register.
 func (db *DB) queryHistObserve(fn Func, start time.Time) {
 	db.mu.Lock()
-	regs := append([]*telemetry.Registry(nil), db.regOrder...)
+	regs := append([]*telemetry.Registry(nil), db.registered...)
 	db.mu.Unlock()
 	for _, r := range regs {
 		r.Histogram("vital_tsdb_query_seconds", "Range-query evaluation latency by function.",

@@ -12,6 +12,7 @@
 package tsdb
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +26,8 @@ import (
 type Options struct {
 	// Retention bounds how far back queries can reach: chunks whose
 	// newest sample is older than Retention are dropped on the next
-	// append to their series. Zero selects DefaultRetention.
+	// append to their series, a series that old on the next Scrape. Zero
+	// selects DefaultRetention.
 	Retention time.Duration
 	// ChunkSamples is the number of samples per chunk (zero selects
 	// DefaultChunkSamples).
@@ -66,8 +68,7 @@ type DB struct {
 	evictions uint64   // chunks dropped by retention or the ring cap
 
 	scrapeHist *telemetry.Histogram
-	registered map[*telemetry.Registry]bool
-	regOrder   []*telemetry.Registry // registration order, for deterministic iteration
+	registered []*telemetry.Registry // in registration order
 }
 
 // New builds an empty DB.
@@ -81,7 +82,7 @@ func New(opts Options) *DB {
 	if opts.MaxChunks <= 0 {
 		opts.MaxChunks = DefaultMaxChunks
 	}
-	return &DB{opts: opts, series: map[string]*memSeries{}, registered: map[*telemetry.Registry]bool{}}
+	return &DB{opts: opts, series: map[string]*memSeries{}}
 }
 
 // Register publishes the DB's own health as vital_tsdb_* series in reg —
@@ -89,38 +90,30 @@ func New(opts Options) *DB {
 // observes itself. Idempotent per registry.
 func (db *DB) Register(reg *telemetry.Registry) {
 	db.mu.Lock()
-	if db.registered[reg] {
+	if slices.Contains(db.registered, reg) {
 		db.mu.Unlock()
 		return
 	}
-	db.registered[reg] = true
-	db.regOrder = append(db.regOrder, reg)
+	db.registered = append(db.registered, reg)
 	db.mu.Unlock()
-	reg.CounterFunc("vital_tsdb_samples_total", "Samples appended to the time-series store.", func() float64 {
+	samples := reg.CounterDesc("vital_tsdb_samples_total", "Samples appended to the time-series store.")
+	evicted := reg.CounterDesc("vital_tsdb_evicted_chunks_total", "Chunks dropped by retention or the per-series ring cap.")
+	series := reg.GaugeDesc("vital_tsdb_series", "Distinct series resident in the time-series store.")
+	chunkBytes := reg.GaugeDesc("vital_tsdb_chunk_bytes", "Encoded bytes resident across all series' chunks.")
+	reg.Collect(func(emit telemetry.Emit) {
 		db.mu.Lock()
-		defer db.mu.Unlock()
-		return float64(db.appended)
-	})
-	reg.CounterFunc("vital_tsdb_evicted_chunks_total", "Chunks dropped by retention or the per-series ring cap.", func() float64 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return float64(db.evictions)
-	})
-	reg.GaugeFunc("vital_tsdb_series", "Distinct series resident in the time-series store.", func() float64 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return float64(len(db.series))
-	})
-	reg.GaugeFunc("vital_tsdb_chunk_bytes", "Encoded bytes resident across all series' chunks.", func() float64 {
-		db.mu.Lock()
-		defer db.mu.Unlock()
 		var n int
 		for _, s := range db.series {
 			for _, c := range s.chunks {
 				n += len(c.buf)
 			}
 		}
-		return float64(n)
+		appended, evictions, resident := db.appended, db.evictions, len(db.series)
+		db.mu.Unlock()
+		emit(samples, float64(appended))
+		emit(evicted, float64(evictions))
+		emit(series, float64(resident))
+		emit(chunkBytes, float64(n))
 	})
 	hist := reg.Histogram("vital_tsdb_scrape_seconds",
 		"Wall time of one registry scrape: flatten, encode, retire expired chunks.", nil)
@@ -219,7 +212,21 @@ func (db *DB) Scrape(reg *telemetry.Registry, now time.Time, extra ...telemetry.
 		}
 		db.Append(smp.Name, labels, now, smp.Value)
 	}
+	// Drop every series whose newest sample has aged out: append-time
+	// retention never reaches the series of an entity that is gone (an
+	// undeployed app), which is never appended to again.
+	cutoff := now.UnixMilli() - db.opts.Retention.Milliseconds()
 	db.mu.Lock()
+	keep := db.order[:0]
+	for _, k := range db.order {
+		if s := db.series[k]; s.lastT < cutoff {
+			db.evictions += uint64(len(s.chunks))
+			delete(db.series, k)
+			continue
+		}
+		keep = append(keep, k)
+	}
+	db.order = keep
 	hist := db.scrapeHist
 	db.mu.Unlock()
 	if hist != nil {

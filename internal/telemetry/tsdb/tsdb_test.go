@@ -619,3 +619,57 @@ func TestPollStops(t *testing.T) {
 		t.Fatal("poll did not stop")
 	}
 }
+
+// TestScrapeExpiresStaleSeries: retention on append never reaches a series
+// that is no longer appended to — the series of an app that was undeployed
+// — so Scrape drops any series whose newest sample has aged out, and the
+// store returns to its baseline one retention horizon after the entity's
+// last sample.
+func TestScrapeExpiresStaleSeries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Counter("vital_requests_total", "test").Inc()
+	apps := map[string]bool{}
+	used := reg.GaugeDesc("vital_test_used", "Blocks held, per app.", "app")
+	reg.Collect(func(emit telemetry.Emit) {
+		for app := range apps {
+			emit(used, 1, app)
+		}
+	})
+	db := New(Options{Retention: 10 * time.Second})
+	db.Scrape(reg, ts(0))
+	baseline := db.SeriesCount()
+
+	apps["a"], apps["b"] = true, true
+	db.Scrape(reg, ts(1))
+	if got := db.SeriesCount(); got != baseline+2 {
+		t.Fatalf("series = %d with two apps live, want %d", got, baseline+2)
+	}
+	delete(apps, "a")
+	delete(apps, "b")
+	db.Scrape(reg, ts(11)) // the apps' last sample (t=1) is exactly at the horizon: kept
+	if got := db.SeriesCount(); got != baseline+2 {
+		t.Fatalf("series = %d at the horizon, want %d", got, baseline+2)
+	}
+	db.mu.Lock()
+	evBefore := db.evictions
+	db.mu.Unlock()
+	db.Scrape(reg, ts(12))
+	if got := db.SeriesCount(); got != baseline {
+		t.Fatalf("series = %d one horizon after the apps' last sample, want the baseline %d", got, baseline)
+	}
+	db.mu.Lock()
+	ev := db.evictions - evBefore
+	db.mu.Unlock()
+	if ev != 2 {
+		t.Fatalf("expiry counted %d evicted chunks, want the two series' one chunk each", ev)
+	}
+	resp, _ := db.Query(Query{Name: "vital_test_used", Func: FuncRaw, Start: ts(0), End: ts(20)})
+	if len(resp.Results) != 0 {
+		t.Fatalf("expired series still answer queries: %+v", resp.Results)
+	}
+	// The live series were untouched.
+	resp, _ = db.Query(Query{Name: "vital_requests_total", Func: FuncRaw, Start: ts(0), End: ts(20)})
+	if len(resp.Results) != 1 || len(resp.Results[0].Points) != 4 {
+		t.Fatalf("live series damaged by expiry: %+v", resp.Results)
+	}
+}
