@@ -67,13 +67,17 @@ bench:
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 
-# End-to-end benchmark smoke: five seconds of sprawl_open — the one
-# vitalperf workload that scrapes both tiers beside deploy/undeploy churn —
-# through the harness entry BENCHMARK.json names. vitalperf exits non-zero
-# when any correctness gate fails (audit parity, /verify, both expositions
-# valid, cache misses).
+# End-to-end benchmark smoke through the harness entry BENCHMARK.json
+# names: five seconds of sprawl_open — the one vitalperf workload that
+# scrapes both tiers beside deploy/undeploy churn — then five of
+# execute_stream, whose gate requires every 10000-token call to report the
+# model-time statistics its app's first call did, which puts the data
+# plane's steady-state fast-forward under an end-to-end exactness check.
+# vitalperf exits non-zero when any correctness gate fails (audit parity,
+# /verify, both expositions valid, cache misses, model-time drift).
 perfsmoke:
 	bash bench/run.sh --workload sprawl_open --seed 1 --seconds 5 --trace 0
+	bash bench/run.sh --workload execute_stream --seed 1 --seconds 5 --trace 0
 
 # Observability smoke: boot an in-process vitald, deploy over HTTP, scrape
 # the Prometheus exposition through the strict validator, and fetch the

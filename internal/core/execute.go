@@ -41,6 +41,11 @@ func (e ExecutionStats) OverheadFraction() float64 {
 	return float64(e.GatedCycles) / float64(e.Cycles*uint64(e.NumActors))
 }
 
+// MaxExecuteTokens is the largest run Execute accepts. It keeps the cycle
+// budget and the DRAM byte count far from uint64 overflow and bounds the
+// DMA window loop, the one per-call cost that grows with the run length.
+const MaxExecuteTokens = 1 << 32
+
 // Execute runs the deployed application for the given number of tokens on
 // the cycle-level interconnect model. Each virtual block becomes a dataflow
 // actor firing once per token; each generated channel is instantiated on
@@ -52,6 +57,9 @@ func (e ExecutionStats) OverheadFraction() float64 {
 func (s *Stack) Execute(app *CompiledApp, dep *sched.Deployment, tokens uint64) (*ExecutionStats, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("core: nil deployment")
+	}
+	if tokens > MaxExecuteTokens {
+		return nil, fmt.Errorf("core: %d tokens, at most %d: %w", tokens, uint64(MaxExecuteTokens), ErrTooManyTokens)
 	}
 	nb := app.Blocks()
 	if len(dep.Blocks) != nb {

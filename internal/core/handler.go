@@ -31,7 +31,8 @@ import (
 //	                      to a different design.
 //	POST /execute {app, tokens} → run a compiled, deployed app on the
 //	                      cycle-level interconnect model and report its
-//	                      ExecutionStats. Errors: 404 unknown app, 409
+//	                      ExecutionStats. Errors: 400 more than
+//	                      MaxExecuteTokens tokens, 404 unknown app, 409
 //	                      compiled but not deployed.
 func NewStackHandler(s *Stack) http.Handler {
 	mux := http.NewServeMux()
@@ -89,6 +90,8 @@ func NewStackHandler(s *Stack) http.Handler {
 		if err != nil {
 			code := http.StatusInternalServerError
 			switch {
+			case errors.Is(err, ErrTooManyTokens):
+				code = http.StatusBadRequest
 			case errors.Is(err, ErrUnknownApp):
 				code = http.StatusNotFound
 			case errors.Is(err, ErrNotDeployed):

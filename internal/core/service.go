@@ -21,6 +21,8 @@ var (
 	// ErrNotDeployed: the app is compiled but not currently placed, so it
 	// cannot execute.
 	ErrNotDeployed = errors.New("app not deployed")
+	// ErrTooManyTokens: an execute asked for more than MaxExecuteTokens.
+	ErrTooManyTokens = errors.New("too many tokens")
 )
 
 // CompileSpec compiles a Table 2 workload spec ("<benchmark>-<S|M|L>")

@@ -1,9 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
+
+	"vital/internal/telemetry"
 )
 
 func TestCompileSpecIdempotentAndConflict(t *testing.T) {
@@ -151,5 +159,79 @@ func TestExecuteReleasesDMAWindow(t *testing.T) {
 	if first.Cycles != 70 || first.GatedCycles != 12 ||
 		first.DRAMReadBytes != tokens*tokenBytes || first.DRAMWriteBytes != tokens*tokenBytes {
 		t.Fatalf("stats moved: cycles %d gated %d dram %d/%d", first.Cycles, first.GatedCycles, first.DRAMReadBytes, first.DRAMWriteBytes)
+	}
+}
+
+// TestExecuteRejectsTooManyTokens: a token count the cycle budget and the
+// DRAM byte count cannot hold used to wrap (1<<62 tokens became a budget
+// of a million cycles and a 500 "cycle budget exhausted"). POST /execute
+// now answers 400 before anything runs, leaving the deployment's memory
+// and the data-plane counters as they were.
+func TestExecuteRejectsTooManyTokens(t *testing.T) {
+	s := NewStack(nil)
+	defer s.Controller.Close()
+	const name = "t0.lenet-M"
+	app, err := s.CompileSpec(context.Background(), "lenet-M", name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := s.Deploy(app, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewStackHandler(s))
+	defer srv.Close()
+	execute := func(tokens uint64) int {
+		raw, _ := json.Marshal(map[string]interface{}{"app": name, "tokens": tokens})
+		resp, err := http.Post(srv.URL+"/execute", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Memory and data-plane series: everything an execute moves apart from
+	// the request's own HTTP accounting.
+	observed := func() []telemetry.FamilySnapshot {
+		var out []telemetry.FamilySnapshot
+		for _, f := range s.Controller.Reg.Snapshot() {
+			for _, p := range []string{"vital_mem_", "vital_execute_", "vital_actor_", "vital_channel_", "vital_ring_"} {
+				if strings.HasPrefix(f.Name, p) {
+					out = append(out, f)
+				}
+			}
+		}
+		return out
+	}
+	mem := s.Cluster.Boards[dep.Blocks[0].Board].Mem
+	domain, ok := mem.Domain(name)
+	if !ok {
+		t.Fatal("deployment has no memory domain")
+	}
+
+	if code := execute(2); code != http.StatusOK {
+		t.Fatalf("execute 2 tokens: status %d", code)
+	}
+	before, beforeMem := observed(), domain.Stats()
+	for _, tokens := range []uint64{MaxExecuteTokens + 1, 1 << 62, ^uint64(0)} {
+		if code := execute(tokens); code != http.StatusBadRequest {
+			t.Fatalf("execute %d tokens: status %d, want 400", tokens, code)
+		}
+	}
+	if after := observed(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused execute moved the data-plane series:\n%+v\nthen\n%+v", before, after)
+	}
+	if after := domain.Stats(); after != beforeMem {
+		t.Fatalf("a refused execute touched the app's memory: %+v then %+v", beforeMem, after)
+	}
+	if _, err := s.ExecuteByName(name, 1<<62); !errors.Is(err, ErrTooManyTokens) {
+		t.Fatalf("ExecuteByName error = %v, want ErrTooManyTokens", err)
+	}
+	// The check has teeth: an accepted execute does move both.
+	if code := execute(2); code != http.StatusOK {
+		t.Fatalf("execute 2 tokens: status %d", code)
+	}
+	if reflect.DeepEqual(observed(), before) || domain.Stats() == beforeMem {
+		t.Fatal("an accepted execute moved neither the data-plane series nor the app's memory")
 	}
 }

@@ -476,7 +476,8 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 //	                token, 429 + Retry-After over the tenant's rate or on
 //	                a backend queue shed, 400 bad spec/priority
 //	POST /undeploy  {app} → tenant-scoped undeploy (403 across tenants)
-//	POST /execute   {app, tokens} → tenant-scoped execute
+//	POST /execute   {app, tokens} → tenant-scoped execute; the backend's
+//	                status is relayed (400 over core.MaxExecuteTokens)
 //	GET  /slo       → per-tenant error budgets and burn-rate alert states
 //	GET  /trace/{id} → the merged cross-process trace (gateway + backend
 //	                segments under one trace ID)

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -234,6 +235,30 @@ func TestGatewayAuthAndTenantScope(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusForbidden {
 			t.Fatalf("cross-tenant %s: status = %d, want 403", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestGatewayRelaysExecuteRejection: the backend refuses a token count
+// over core.MaxExecuteTokens with 400, and the gateway relays that status
+// rather than turning it into a gateway error.
+func TestGatewayRelaysExecuteRejection(t *testing.T) {
+	stack, _, front := newGatewayPair(t, Config{Tokens: map[string]string{"tok-a": "alice"}})
+	app, err := stack.CompileSpec(context.Background(), "lenet-S", "alice.lenet-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stack.Deploy(app, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tokens uint64
+		want   int
+	}{{2, http.StatusOK}, {1 << 62, http.StatusBadRequest}} {
+		resp := authedPost(t, front.URL+"/execute", "tok-a", map[string]interface{}{"app": "alice.lenet-S", "tokens": c.tokens})
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("execute %d tokens through the gateway: status %d, want %d", c.tokens, resp.StatusCode, c.want)
 		}
 	}
 }

@@ -122,8 +122,10 @@ type Channel struct {
 	elided bool
 
 	// ring is the shared-medium arbiter for inter-FPGA channels (nil for
-	// dedicated links); ringGrant is this cycle's slot grant.
+	// dedicated links); ringIdx is the channel's member index on it and
+	// ringGrant this cycle's slot grant.
 	ring      *Ring
+	ringIdx   int
 	ringGrant bool
 
 	// Statistics. Pushed counts tokens the producer pushed through the

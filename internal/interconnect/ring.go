@@ -20,6 +20,10 @@ type Ring struct {
 	members [][]segRef // per channel: the segment/direction pairs it loads
 	chans   []*Channel
 	next    int // round-robin pointer
+	// budget is Arbitrate's per-cycle scratch, indexed
+	// [direction*Segments+segment]: the bits each directed segment can
+	// still grant this cycle.
+	budget []int
 	// Granted counts total flit-grants per direction, for measurement.
 	Granted [2]uint64
 
@@ -64,6 +68,7 @@ func NewSegmentedRing(bitsPerCycle, segments int) (*Ring, error) {
 		r.SegBusyBits[d] = make([]uint64, segments)
 		r.SegDenied[d] = make([]uint64, segments)
 	}
+	r.budget = make([]int, 2*segments)
 	return r, nil
 }
 
@@ -94,6 +99,7 @@ func (r *Ring) AttachPath(c *Channel, segments []int, clockwise bool) error {
 		refs[i] = segRef{seg: s, cw: clockwise}
 	}
 	c.ring = r
+	c.ringIdx = len(r.chans)
 	r.chans = append(r.chans, c)
 	r.members = append(r.members, refs)
 	return nil
@@ -105,12 +111,8 @@ func (r *Ring) AttachPath(c *Channel, segments []int, clockwise bool) error {
 // width.
 func (r *Ring) Arbitrate() {
 	r.Cycles++
-	// budget[direction][segment]
-	budget := [2][]int{make([]int, r.Segments), make([]int, r.Segments)}
-	for d := 0; d < 2; d++ {
-		for s := 0; s < r.Segments; s++ {
-			budget[d][s] = r.BitsPerCycle
-		}
+	for i := range r.budget {
+		r.budget[i] = r.BitsPerCycle
 	}
 	for _, c := range r.chans {
 		c.ringGrant = false
@@ -122,7 +124,7 @@ func (r *Ring) Arbitrate() {
 		fits := true
 		for _, ref := range r.members[i] {
 			d := dirIdx(ref.cw)
-			if budget[d][ref.seg] < c.P.WidthBits {
+			if r.budget[d*r.Segments+ref.seg] < c.P.WidthBits {
 				// Charge the refusal to the directed segment that ran out
 				// of budget — the contention hot spot.
 				r.SegDenied[d][ref.seg]++
@@ -135,7 +137,7 @@ func (r *Ring) Arbitrate() {
 		}
 		for _, ref := range r.members[i] {
 			d := dirIdx(ref.cw)
-			budget[d][ref.seg] -= c.P.WidthBits
+			r.budget[d*r.Segments+ref.seg] -= c.P.WidthBits
 			r.SegBusyBits[d][ref.seg] += uint64(c.P.WidthBits)
 		}
 		c.ringGrant = true
@@ -166,12 +168,7 @@ func dirIdx(cw bool) int {
 
 // noteGrantUsed records a consumed grant for measurement.
 func (r *Ring) noteGrantUsed(c *Channel) {
-	for i := range r.chans {
-		if r.chans[i] == c {
-			r.Granted[dirIdx(r.members[i][0].cw)]++
-			return
-		}
-	}
+	r.Granted[dirIdx(r.members[c.ringIdx][0].cw)]++
 }
 
 // PathSegments computes the segments a clockwise or counter-clockwise route
