@@ -1,10 +1,6 @@
 GO ?= go
 
-# Where `make bench` writes its dated perf snapshot. Override to avoid
-# clobbering an existing same-day baseline (e.g. BENCH_OUT=BENCH_20260808b.json).
-BENCH_OUT ?= BENCH_$(shell date +%Y%m%d).json
-
-.PHONY: all build test race faultstress schedsoak soaksmoke lint lint-sarif bench benchsmoke perfsmoke obssmoke alertsmoke tracesmoke replaysmoke clean
+.PHONY: all build test race faultstress schedsoak soaksmoke lint lint-sarif benchsmoke perfsmoke obssmoke alertsmoke tracesmoke replaysmoke clean
 
 all: build lint test
 
@@ -33,10 +29,10 @@ schedsoak:
 # gateway + backend in-process, a few dozen tenants over a skewed design
 # mix, asserting compile dedup, audit parity and queue backpressure. The
 # latency ceilings are relaxed relative to the full acceptance run
-# (`go run ./cmd/vitalsoak` with defaults) because the race detector and
-# shared CI runners tax wall clock, not correctness.
+# (`go run ./cmd/vitalscenario soak` with defaults) because the race
+# detector and shared CI runners tax wall clock, not correctness.
 soaksmoke:
-	$(GO) run -race ./cmd/vitalsoak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
+	$(GO) run -race ./cmd/vitalscenario soak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
 
 # vet plus the repo's own analyzers: the per-package checks (lockcheck,
 # mapdeterminism, errwrap, durationliteral) and the whole-program
@@ -55,15 +51,10 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/vitallint -baseline .vitallint-baseline.json -sarif -out vitallint.sarif ./...
 
-# Run the full benchmark suite and record a dated perf trajectory
-# (benchmark → ns/op, B/op, allocs/op, reported metrics) so future PRs
-# can diff against this baseline.
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
-
 # One-iteration benchmarks: cheap CI guard that the harness still builds
-# and runs, including the 10k-board allocator-scaling benchmark (its
-# sublinearity is asserted from the recorded BENCH_*.json snapshots).
+# and runs, including the 10k-board allocator benchmark. One iteration
+# shows that it runs, not how it scales: nothing asserts its sublinearity
+# (`vitalbench -run sched` reports the allocator-scaling curve).
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 
@@ -83,13 +74,13 @@ perfsmoke:
 # the Prometheus exposition through the strict validator, and fetch the
 # deploy trace. Exits non-zero on the first broken surface.
 obssmoke:
-	$(GO) run ./cmd/obssmoke -phase core
+	$(GO) run ./cmd/vitalscenario obs
 
 # Alerting smoke: placement-quality report, channel-traffic metrics from a
 # live execution, then a board fault observed end to end — fault,
 # evacuation and firing alert all arriving over the SSE event stream.
 alertsmoke:
-	$(GO) run ./cmd/obssmoke -phase alerts
+	$(GO) run ./cmd/vitalscenario alerts
 
 # Tracing + SLO smoke: a vitalgw gateway in front of the backend, one
 # submit reassembled as a single contiguous cross-process trace (gateway
@@ -97,7 +88,7 @@ alertsmoke:
 # series with exemplars in the exposition, then a backend outage driving
 # a multi-window burn-rate alert to firing on GET /slo.
 tracesmoke:
-	$(GO) run ./cmd/obssmoke -phase trace
+	$(GO) run ./cmd/vitalscenario trace
 
 # Replay smoke: drive the bundled example tenant mix through an
 # in-process gateway+backend stack under the race detector, scraping both
@@ -106,7 +97,7 @@ tracesmoke:
 # both tiers' Prometheus expositions — vital_tsdb_* self-metrics
 # included — pass the strict validator.
 replaysmoke:
-	$(GO) run -race ./cmd/vitalreplay -trace cmd/vitalreplay/testdata/example-trace.json -speed 4 -check -out -
+	$(GO) run -race ./cmd/vitalscenario replay -trace cmd/vitalscenario/testdata/example-trace.json -speed 4 -check -out -
 
 clean:
 	$(GO) clean ./...
