@@ -13,7 +13,9 @@ import (
 	"vital/internal/workload"
 )
 
-var updateExecGolden = flag.Bool("update", false, "rewrite testdata/execute_golden.json from the current data plane")
+// update rewrites the testdata golden files of the tests it runs with
+// (-run selects which) instead of comparing against them.
+var update = flag.Bool("update", false, "rewrite the testdata golden files of the tests that run")
 
 // streamDesigns are the apps of vitalperf's execute_stream workload,
 // deployed in this order on an empty default cluster.
@@ -88,7 +90,7 @@ func TestExecuteGolden(t *testing.T) {
 	}
 	got = append(got, '\n')
 	path := filepath.Join("testdata", "execute_golden.json")
-	if *updateExecGolden {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
