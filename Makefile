@@ -52,11 +52,13 @@ lint-sarif:
 	$(GO) run ./cmd/vitallint -baseline .vitallint-baseline.json -sarif -out vitallint.sarif ./...
 
 # One-iteration benchmarks: cheap CI guard that the harness still builds
-# and runs, including the 10k-board allocator benchmark. One iteration
-# shows that it runs, not how it scales: nothing asserts its sublinearity
-# (`vitalbench -run sched` reports the allocator-scaling curve).
+# and runs, including the serial cold compile (the cold_compile proof
+# benchmark, run with -count 10 for before/after numbers) and the
+# 10k-board allocator benchmark. One iteration shows that it runs, not how
+# it scales: nothing asserts its sublinearity (`vitalbench -run sched`
+# reports the allocator-scaling curve).
 benchsmoke:
-	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkTable2CompileSerial$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 
 # End-to-end benchmark smoke through the harness entry BENCHMARK.json
 # names: five seconds of sprawl_open — the one vitalperf workload that

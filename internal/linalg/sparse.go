@@ -6,10 +6,11 @@
 package linalg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Triplet is one (row, col, value) coordinate entry used to assemble a
@@ -31,7 +32,9 @@ type CSR struct {
 }
 
 // FromTriplets assembles an n×n CSR matrix from coordinate entries, summing
-// duplicates. Entries outside the n×n range cause an error.
+// duplicates left to right in input order (floating-point addition is not
+// associative, so the order is part of the result). Entries that sum to
+// zero are dropped. Entries outside the n×n range cause an error.
 func FromTriplets(n int, ts []Triplet) (*CSR, error) {
 	for _, t := range ts {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
@@ -40,11 +43,11 @@ func FromTriplets(n int, ts []Triplet) (*CSR, error) {
 	}
 	sorted := make([]Triplet, len(ts))
 	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
+	slices.SortStableFunc(sorted, func(a, b Triplet) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
 		}
-		return sorted[i].Col < sorted[j].Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 	m := &CSR{N: n, RowPtr: make([]int, n+1)}
 	for i := 0; i < len(sorted); {

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -168,5 +169,32 @@ func TestQuickCGConverges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFromTripletsSumsDuplicatesInInputOrder(t *testing.T) {
+	// 1e16 + 1 rounds back to 1e16, so summing 1e16, 1, -1e16 left to
+	// right gives 0 (dropped); any other order gives ±1. The three entries
+	// are scattered, in that order, among random filler, which an
+	// unstable sort would reorder.
+	vals := []float64{1e16, 1, -1e16}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ts := make([]Triplet, 63)
+		for i := range ts {
+			ts[i] = Triplet{rng.Intn(8), rng.Intn(8), 1}
+		}
+		pos := rng.Perm(len(ts))[:len(vals)]
+		sort.Ints(pos)
+		for k, p := range pos {
+			ts[p] = Triplet{8, 8, vals[k]}
+		}
+		m, err := FromTriplets(9, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.At(8, 8); got != 0 {
+			t.Fatalf("seed %d: At(8,8) = %v, want 0 (1e16 + 1 - 1e16 summed left to right)", seed, got)
+		}
 	}
 }

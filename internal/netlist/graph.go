@@ -1,6 +1,9 @@
 package netlist
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file provides graph views and algorithms over a Netlist that the
 // packing and partitioning stages rely on: weighted cell adjacency,
@@ -26,42 +29,67 @@ func (n *Netlist) Adjacency(maxFanout int) [][]Edge {
 // Width is maxWidth or more are skipped (pass maxWidth <= 0 to include all
 // widths). Wide buses are natural module interfaces; the packing stage uses
 // this view so clusters do not straddle them.
+//
+// Every list is sorted by neighbour, so consumers that walk an edge list
+// (packing BFS, partition clustering) see the same order on every run. The
+// lists share one backing slab, each capped at its own length: appending
+// to one copies it rather than overwriting the next cell's list.
 func (n *Netlist) AdjacencyCapped(maxFanout, maxWidth int) [][]Edge {
-	type key struct{ a, b CellID }
-	weights := make(map[key]int)
+	kept := func(t *Net) bool {
+		return t.Driver != NoCell &&
+			(maxFanout <= 0 || len(t.Sinks) <= maxFanout) &&
+			(maxWidth <= 0 || t.Width < maxWidth)
+	}
+	// Count each cell's half-edges, then lay the lists out back to back.
+	off := make([]int, len(n.Cells)+1)
 	for i := range n.Nets {
 		t := &n.Nets[i]
-		if t.Driver == NoCell {
-			continue
-		}
-		if maxFanout > 0 && len(t.Sinks) > maxFanout {
-			continue
-		}
-		if maxWidth > 0 && t.Width >= maxWidth {
+		if !kept(t) {
 			continue
 		}
 		for _, s := range t.Sinks {
-			if s == t.Driver {
-				continue // self-loop (e.g. feedback on one cell) carries no cut cost
+			if s != t.Driver { // a self-loop (feedback on one cell) carries no cut cost
+				off[t.Driver+1]++
+				off[s+1]++
 			}
-			a, b := t.Driver, s
-			if a > b {
-				a, b = b, a
-			}
-			weights[key{a, b}] += t.Width
 		}
 	}
-	adj := make([][]Edge, len(n.Cells))
-	for k, w := range weights {
-		adj[k.a] = append(adj[k.a], Edge{To: k.b, Weight: w})
-		adj[k.b] = append(adj[k.b], Edge{To: k.a, Weight: w})
+	for c := range n.Cells {
+		off[c+1] += off[c]
 	}
-	// The map range above emits edges in random order; every consumer that
-	// walks an edge list (packing BFS, partition clustering) would inherit
-	// that randomness, making placements — and bitstream payloads — vary
-	// run to run. Sorting by neighbour restores determinism.
+	slab := make([]Edge, off[len(n.Cells)])
+	next := make([]int, len(n.Cells))
+	copy(next, off)
+	for i := range n.Nets {
+		t := &n.Nets[i]
+		if !kept(t) {
+			continue
+		}
+		for _, s := range t.Sinks {
+			if s != t.Driver {
+				slab[next[t.Driver]] = Edge{To: s, Weight: t.Width}
+				next[t.Driver]++
+				slab[next[s]] = Edge{To: t.Driver, Weight: t.Width}
+				next[s]++
+			}
+		}
+	}
+	// Sort each list by neighbour and fold parallel edges into one whose
+	// weight is their summed width.
+	adj := make([][]Edge, len(n.Cells))
 	for c := range adj {
-		sort.Slice(adj[c], func(i, j int) bool { return adj[c][i].To < adj[c][j].To })
+		list := slab[off[c]:off[c+1]]
+		slices.SortFunc(list, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		k := 0
+		for _, e := range list {
+			if k > 0 && list[k-1].To == e.To {
+				list[k-1].Weight += e.Weight
+				continue
+			}
+			list[k] = e
+			k++
+		}
+		adj[c] = list[:k:k]
 	}
 	return adj
 }

@@ -161,9 +161,12 @@ func mergeSmall(n *netlist.Netlist, adj [][]netlist.Edge, clusters []*Cluster, p
 				}
 			}
 		}
+		// Equal weights break to the lowest cluster index, so the choice
+		// does not depend on the map's iteration order.
 		best, bestW := -1, 0
 		for o, w := range conn {
-			if w > bestW && cl.Res.Add(clusters[o].Res).FitsIn(cfg.capacity) {
+			better := w > bestW || (w == bestW && best >= 0 && o < best)
+			if better && cl.Res.Add(clusters[o].Res).FitsIn(cfg.capacity) {
 				best, bestW = o, w
 			}
 		}

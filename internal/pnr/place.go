@@ -3,6 +3,7 @@ package pnr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vital/internal/fpga"
@@ -21,16 +22,15 @@ type Placement struct {
 	Sites []fpga.Site
 	// cellEntity maps a netlist cell to its entity index (-1 for cells not
 	// placed in this block, e.g. IO).
-	cellEntity map[netlist.CellID]int
+	cellEntity []int32
 }
 
 // SiteOf returns the site of the entity containing cell c.
 func (p *Placement) SiteOf(c netlist.CellID) (fpga.Site, bool) {
-	e, ok := p.cellEntity[c]
-	if !ok || e < 0 {
+	if c < 0 || int(c) >= len(p.cellEntity) || p.cellEntity[c] < 0 {
 		return fpga.Site{}, false
 	}
-	return p.Sites[e], true
+	return p.Sites[p.cellEntity[c]], true
 }
 
 // packMaxFanout is the fanout cap of the packing/placement adjacency view
@@ -63,16 +63,25 @@ func PlaceBlockAdj(n *netlist.Netlist, cells []netlist.CellID, grid *fpga.Grid, 
 		}
 	}
 
+	p := newPlacement(n, grid, entities)
+	p.place(adj)
+	return p, nil
+}
+
+// newPlacement returns an unplaced Placement of entities with its
+// cell → entity index built.
+func newPlacement(n *netlist.Netlist, grid *fpga.Grid, entities []Entity) *Placement {
 	p := &Placement{Grid: grid, Entities: entities, Sites: make([]fpga.Site, len(entities)),
-		cellEntity: make(map[netlist.CellID]int, len(cells))}
+		cellEntity: make([]int32, n.NumCells())}
+	for c := range p.cellEntity {
+		p.cellEntity[c] = -1
+	}
 	for i := range entities {
 		for _, c := range entities[i].Cells {
-			p.cellEntity[c] = i
+			p.cellEntity[c] = int32(i)
 		}
 	}
-
-	p.place(n, adj)
-	return p, nil
+	return p
 }
 
 // placeIterations is the number of solve→legalize rounds of the analytic
@@ -81,10 +90,12 @@ func PlaceBlockAdj(n *netlist.Netlist, cells []netlist.CellID, grid *fpga.Grid, 
 const placeIterations = 6
 
 // place runs the iterative analytic placement loop and keeps the best
-// legalized result by weighted wirelength.
-func (p *Placement) place(n *netlist.Netlist, adj [][]netlist.Edge) {
+// legalized result by weighted wirelength. The entity graph and its
+// Laplacian are built once; each relaxation only re-anchors the diagonal.
+func (p *Placement) place(adj [][]netlist.Edge) {
 	ew := p.entityEdges(adj)
-	x, y := p.analyticPositions(n, adj, nil, nil, 0)
+	lap := newLaplacian(len(p.Entities), ew)
+	x, y := p.analyticPositions(lap, nil, nil, 0)
 	bestWL := math.Inf(1)
 	bestSites := make([]fpga.Site, len(p.Sites))
 	anchorW := 0.02
@@ -103,7 +114,7 @@ func (p *Placement) place(n *netlist.Netlist, adj [][]netlist.Edge) {
 		for i := range p.Entities {
 			ax[i], ay[i] = p.Grid.SitePos(p.Sites[i])
 		}
-		x, y = p.analyticPositions(n, adj, ax, ay, anchorW)
+		x, y = p.analyticPositions(lap, ax, ay, anchorW)
 		anchorW *= 2
 	}
 	copy(p.Sites, bestSites)
@@ -117,35 +128,101 @@ type entityEdge struct {
 	w    float64
 }
 
-// entityEdges projects cell adjacency onto entities.
+// entityEdges projects cell adjacency onto entities: one edge per
+// connected entity pair a < b, weighted by the summed width of the cell
+// edges between them, in (a, b) order.
 func (p *Placement) entityEdges(adj [][]netlist.Edge) []entityEdge {
-	type ek struct{ a, b int }
-	weights := map[ek]float64{}
-	for c, ei := range p.cellEntity {
-		for _, e := range adj[c] {
-			ej, ok := p.cellEntity[e.To]
-			if !ok || ej == ei {
-				continue
+	// weight[b] accumulates entity a's connection to b > a; seen[b] == a+1
+	// marks b as touched while a is visited.
+	weight := make([]int, len(p.Entities))
+	seen := make([]int, len(p.Entities))
+	var touched []int
+	var edges []entityEdge
+	for a := range p.Entities {
+		touched = touched[:0]
+		for _, c := range p.Entities[a].Cells {
+			for _, e := range adj[c] {
+				b := int(p.cellEntity[e.To])
+				if b <= a { // also skips cells outside the block (-1)
+					continue
+				}
+				if seen[b] != a+1 {
+					seen[b] = a + 1
+					weight[b] = 0
+					touched = append(touched, b)
+				}
+				weight[b] += e.Weight
 			}
-			a, b := ei, ej
-			if a > b {
-				a, b = b, a
-			}
-			weights[ek{a, b}] += float64(e.Weight) / 2 // each edge visited twice
+		}
+		slices.Sort(touched)
+		for _, b := range touched {
+			edges = append(edges, entityEdge{a, b, float64(weight[b])})
 		}
 	}
-	edges := make([]entityEdge, 0, len(weights))
-	for k, w := range weights {
-		edges = append(edges, entityEdge{k.a, k.b, w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
-	})
 	return edges
 }
+
+// laplacian is the weighted Laplacian of a block's entity graph in CSR
+// form, built once per block. Each relaxation copies the edge values into
+// m, adds its anchors to the diagonal and solves; the sparsity structure
+// never changes.
+type laplacian struct {
+	m    *linalg.CSR
+	base []float64 // edge-only values: -w off the diagonal, Σw on it
+	diag []int     // diag[i] is the index of entry (i, i) in m.Val
+}
+
+// newLaplacian builds the Laplacian of ne entities connected by ew, which
+// must be in entityEdges order. Every row stores its columns ascending
+// with the diagonal in place. Walking ew in (a, b) order reaches row r's
+// lower neighbours before its upper ones, each ascending, so the diagonal
+// sums the row's edge weights in ascending column order.
+func newLaplacian(ne int, ew []entityEdge) *laplacian {
+	rowPtr := make([]int, ne+1)
+	diag := make([]int, ne)
+	for _, e := range ew {
+		rowPtr[e.a+1]++
+		rowPtr[e.b+1]++
+		diag[e.b]++ // lower neighbours of row b
+	}
+	for i := 0; i < ne; i++ {
+		rowPtr[i+1] += rowPtr[i] + 1 // + the diagonal
+		diag[i] += rowPtr[i]
+	}
+	nnz := rowPtr[ne]
+	l := &laplacian{
+		m:    &linalg.CSR{N: ne, RowPtr: rowPtr, Col: make([]int, nnz), Val: make([]float64, nnz)},
+		base: make([]float64, nnz),
+		diag: diag,
+	}
+	next := make([]int, ne)
+	copy(next, rowPtr)
+	put := func(r, c int, v float64) {
+		if next[r] == diag[r] {
+			next[r]++ // first upper neighbour: step over the diagonal
+		}
+		l.m.Col[next[r]] = c
+		l.base[next[r]] = v
+		next[r]++
+	}
+	for i, d := range diag {
+		l.m.Col[d] = i
+	}
+	for _, e := range ew {
+		put(e.a, e.b, -e.w)
+		put(e.b, e.a, -e.w)
+		l.base[diag[e.a]] += e.w
+		l.base[diag[e.b]] += e.w
+	}
+	return l
+}
+
+// reset restores the edge-only values, dropping the last relaxation's
+// anchors.
+func (l *laplacian) reset() { copy(l.m.Val, l.base) }
+
+// addDiag adds v to entry (i, i).
+func (l *laplacian) addDiag(i int, v float64) { l.m.Val[l.diag[i]] += v }
 
 // weightedWirelength evaluates the current legalized placement.
 func (p *Placement) weightedWirelength(edges []entityEdge) float64 {
@@ -160,26 +237,33 @@ func (p *Placement) weightedWirelength(edges []entityEdge) float64 {
 
 // analyticPositions computes continuous positions by quadratic placement:
 // minimize Σ w_ij ((x_i−x_j)² + (y_i−y_j)²), solved by conjugate gradients.
-// When ax/ay are nil, a few spread anchors break translation invariance
-// (first relaxation); otherwise every entity is anchored at (ax[i], ay[i])
-// with weight anchorW (the SimPL-style pull toward the last legalization).
-func (p *Placement) analyticPositions(n *netlist.Netlist, adj [][]netlist.Edge, ax, ay []float64, anchorW float64) ([]float64, []float64) {
+func (p *Placement) analyticPositions(lap *laplacian, ax, ay []float64, anchorW float64) ([]float64, []float64) {
 	ne := len(p.Entities)
 	x := make([]float64, ne)
 	y := make([]float64, ne)
 	if ne == 0 {
 		return x, y
 	}
-	var ts []linalg.Triplet
-	for _, e := range p.entityEdges(adj) {
-		ts = append(ts,
-			linalg.Triplet{Row: e.a, Col: e.a, Val: e.w},
-			linalg.Triplet{Row: e.b, Col: e.b, Val: e.w},
-			linalg.Triplet{Row: e.a, Col: e.b, Val: -e.w},
-			linalg.Triplet{Row: e.b, Col: e.a, Val: -e.w})
-	}
-	bx := make([]float64, ne)
-	by := make([]float64, ne)
+	bx, by := p.anchor(lap, ax, ay, anchorW)
+	// Convergence tolerance is modest: legalization absorbs residual error
+	// anyway.
+	_, _ = linalg.SolveCG(lap.m, x, bx, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
+	_, _ = linalg.SolveCG(lap.m, y, by, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
+	return x, y
+}
+
+// anchor loads lap.m with the edge Laplacian plus one relaxation's anchors
+// and returns the right-hand sides. When ax/ay are nil, a few spread
+// anchors break translation invariance (first relaxation); otherwise every
+// entity is anchored at (ax[i], ay[i]) with weight anchorW (the SimPL-style
+// pull toward the last legalization). Each diagonal entry sums, in this
+// order, the row's edge weights (ascending column), its anchor and the
+// regularizer eps.
+func (p *Placement) anchor(lap *laplacian, ax, ay []float64, anchorW float64) (bx, by []float64) {
+	ne := len(p.Entities)
+	lap.reset()
+	bx = make([]float64, ne)
+	by = make([]float64, ne)
 	W, H := float64(p.Grid.Width), float64(p.Grid.Rows)
 	if ax == nil {
 		// Spread anchors: every kth entity is softly pulled to a distinct
@@ -191,14 +275,14 @@ func (p *Placement) analyticPositions(n *netlist.Netlist, adj [][]netlist.Edge, 
 		for i := 0; i < ne; i += stride {
 			fx := (float64(slot%8) + 0.5) / 8 * W
 			fy := (float64(slot/8%8) + 0.5) / 8 * H
-			ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: spreadW})
+			lap.addDiag(i, spreadW)
 			bx[i] += spreadW * fx
 			by[i] += spreadW * fy
 			slot++
 		}
 	} else {
 		for i := 0; i < ne; i++ {
-			ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: anchorW})
+			lap.addDiag(i, anchorW)
 			bx[i] += anchorW * ax[i]
 			by[i] += anchorW * ay[i]
 		}
@@ -206,18 +290,11 @@ func (p *Placement) analyticPositions(n *netlist.Netlist, adj [][]netlist.Edge, 
 	// Weak uniform regularizer centers isolated entities.
 	const eps = 1e-6
 	for i := 0; i < ne; i++ {
-		ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: eps})
+		lap.addDiag(i, eps)
 		bx[i] += eps * W / 2
 		by[i] += eps * H / 2
 	}
-	m, err := linalg.FromTriplets(ne, ts)
-	if err == nil {
-		// Convergence tolerance is modest: legalization absorbs residual
-		// error anyway.
-		_, _ = linalg.SolveCG(m, x, bx, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
-		_, _ = linalg.SolveCG(m, y, by, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
-	}
-	return x, y
+	return bx, by
 }
 
 // legalize snaps continuous positions to sites: per resource kind, entities
