@@ -93,7 +93,7 @@ func anchoredSystemRef(p *Placement, ew []entityEdge, ax, ay []float64, anchorW 
 
 // testBlocks returns unplaced placements of lenet-S: the whole design and
 // two random subsets, whose cut edges exercise the outside-the-block path.
-func testBlocks(t *testing.T) (*netlist.Netlist, [][]netlist.Edge, []*Placement) {
+func testBlocks(t *testing.T) ([][]netlist.Edge, []*Placement) {
 	n := lenetSmall(t)
 	adj := n.Adjacency(packMaxFanout)
 	rng := rand.New(rand.NewSource(7))
@@ -107,11 +107,11 @@ func testBlocks(t *testing.T) (*netlist.Netlist, [][]netlist.Edge, []*Placement)
 		}
 		blocks = append(blocks, newPlacement(n, blockGrid(), packCLBs(n, cells, adj)))
 	}
-	return n, adj, blocks
+	return adj, blocks
 }
 
 func TestEntityEdgesMatchesReference(t *testing.T) {
-	_, adj, blocks := testBlocks(t)
+	adj, blocks := testBlocks(t)
 	for bi, p := range blocks {
 		got, want := p.entityEdges(adj), entityEdgesRef(p, adj)
 		if len(want) == 0 {
@@ -134,7 +134,7 @@ func ulps(a, b float64) uint64 {
 }
 
 func TestLaplacianMatchesFromTriplets(t *testing.T) {
-	_, adj, blocks := testBlocks(t)
+	adj, blocks := testBlocks(t)
 	for bi, p := range blocks {
 		ew := p.entityEdges(adj)
 		ne := len(p.Entities)
