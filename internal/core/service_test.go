@@ -82,6 +82,32 @@ func TestCompileSpecIdempotentAndConflict(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesCompiledApps checks that a closed stack holds no
+// compiled design: neither the named-app registry nor the compile cache
+// keeps one, so a caller that keeps the stack does not pin its netlists.
+func TestCloseReleasesCompiledApps(t *testing.T) {
+	s := NewStack(nil)
+	ctx := context.Background()
+	if _, err := s.CompileSpec(ctx, "lenet-S", "acct.lenet"); err != nil {
+		t.Fatal(err)
+	}
+	s.Controller.Close()
+	if _, ok := s.App("acct.lenet"); ok {
+		t.Fatal("closed stack still registers acct.lenet")
+	}
+	if n := s.Controller.CacheStats().Entries; n != 0 {
+		t.Fatalf("closed stack's compile cache holds %d entries, want 0", n)
+	}
+	// The stack stays usable: the name compiles again, cold.
+	app, err := s.CompileSpec(ctx, "lenet-S", "acct.lenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.CacheHit {
+		t.Fatal("compile after Close was served from the emptied cache")
+	}
+}
+
 func TestExecuteByName(t *testing.T) {
 	s := NewStack(nil)
 	defer s.Controller.Close()

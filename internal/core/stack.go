@@ -63,7 +63,7 @@ func NewStackWithOptions(c *cluster.Cluster, opts sched.Options) *Stack {
 		c = cluster.Default()
 	}
 	dev := c.Boards[0].Device
-	return &Stack{
+	s := &Stack{
 		Cluster:         c,
 		Controller:      sched.NewControllerWithOptions(c, opts),
 		BlockCapacity:   dev.BlockResources(),
@@ -71,6 +71,14 @@ func NewStackWithOptions(c *cluster.Cluster, opts sched.Options) *Stack {
 		MaxBlocksPerApp: c.TotalBlocks(),
 		apps:            map[string]*registeredApp{},
 	}
+	// Closing the controller ends the stack: the named apps go with the
+	// compile cache, so a closed stack pins no compiled design.
+	s.Controller.OnClose(func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.apps = map[string]*registeredApp{}
+	})
+	return s
 }
 
 // CompileOptions tunes the compilation flow.

@@ -60,6 +60,7 @@ type Controller struct {
 
 	mu       sync.Mutex
 	deployed map[string]*Deployment
+	onClose  []func()
 }
 
 // Options tunes controller behavior.
@@ -144,9 +145,32 @@ func NewControllerWithOptions(c *cluster.Cluster, opts Options) *Controller {
 }
 
 // Close stops the controller's background machinery (the async deploy
-// workers). Queued tickets stop draining; the controller's synchronous
-// operations stay usable.
-func (ct *Controller) Close() { ct.async.Close() }
+// workers) and releases the compiled designs: it empties the compile cache
+// and runs the OnClose hooks, with which the layers above drop theirs.
+// Queued tickets stop draining; the synchronous operations stay usable,
+// and a compile after Close starts cold. Releasing matters because a
+// closed controller may stay referenced (a test or benchmark keeping its
+// finished stacks): each compiled design holds its netlist and per-block
+// P&R results, and a run that pinned them all would grow the heap with
+// every stack it closed.
+func (ct *Controller) Close() {
+	ct.async.Close()
+	ct.Cache.Reset()
+	ct.mu.Lock()
+	hooks := ct.onClose
+	ct.mu.Unlock()
+	for _, f := range hooks {
+		f()
+	}
+}
+
+// OnClose registers f to run in every later Close, after the deploy
+// workers have stopped; f runs without the controller lock held.
+func (ct *Controller) OnClose(f func()) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	ct.onClose = append(ct.onClose, f)
+}
 
 // CacheStats snapshots the compile cache's hit/miss counters.
 func (ct *Controller) CacheStats() bitstream.CacheStats {
