@@ -34,7 +34,8 @@ schedsoak:
 soaksmoke:
 	$(GO) run -race ./cmd/vitalscenario soak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
 
-# vet plus the repo's own analyzers: the per-package checks (lockcheck,
+# gofmt, vet and the repo's own analyzers. gofmt -l must list nothing:
+# any unformatted file fails the run. Then the per-package checks (lockcheck,
 # mapdeterminism, errwrap, durationliteral) and the whole-program
 # concurrency suite (lockorder, goroutineleak, eventexhaustive,
 # metrichygiene). Known debt lives in .vitallint-baseline.json — one entry
@@ -42,6 +43,8 @@ soaksmoke:
 # add no others. Anything else fails the run. CI calls this target, so the
 # two can't drift.
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/vitallint -baseline .vitallint-baseline.json ./...
 
@@ -56,9 +59,13 @@ lint-sarif:
 # benchmark, run with -count 10 for before/after numbers) and the
 # 10k-board allocator benchmark. One iteration shows that it runs, not how
 # it scales: nothing asserts its sublinearity (`vitalbench -run sched`
-# reports the allocator-scaling curve).
+# reports the allocator-scaling curve). The telemetry pair renders and
+# flattens a 256-tenant gateway-shaped registry (the exposition's
+# ns/op and allocs/op before/after numbers come from them, run with
+# -benchtime 2s -count 5).
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkTable2CompileSerial$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkWritePrometheus$$|BenchmarkSamples$$' -benchtime=1x ./internal/telemetry
 
 # End-to-end benchmark smoke through the harness entry BENCHMARK.json
 # names: five seconds of sprawl_open — the one vitalperf workload that

@@ -32,7 +32,14 @@
 //     text format (version 0.0.4) and ValidateExposition is a strict parser
 //     for it — the golden-file CI test and the obssmoke target both use it,
 //     so a malformed metric name or a non-monotone histogram fails the
-//     build, not the operator's scrape.
+//     build, not the operator's scrape. The writer appends every line into
+//     one reused byte buffer (labels insertion-sorted in a stack array,
+//     values and escapes appended in place) and hands it to a bufio.Writer
+//     in 4 KiB chunks, so a scrape's allocations do not grow with its
+//     series. One flattener, series.expand, feeds both it and Samples: its
+//     callback gets (suffix, le, value, exemplar), the text writer appends
+//     those directly and Samples builds the label slice it stores. A
+//     histogram family formats its le strings once, when it is created.
 //
 // The registry is per-controller; the daemon runs one controller, which
 // makes it process-wide in practice while keeping tests isolated.

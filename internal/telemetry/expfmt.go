@@ -16,64 +16,136 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // WritePrometheus renders the registry in the Prometheus text format:
 // families sorted by name, each preceded by its # HELP / # TYPE pair,
 // histograms as cumulative _bucket{le=...} series plus _sum and _count.
+// Every line is appended into one reused buffer, which goes to the
+// buffered writer in flushChunk pieces; no line allocates, so a scrape's
+// allocations do not grow with its series count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	point := func(name string, labels []Label, v float64, ex *Exemplar) {
-		writeSample(bw, name, labels, v, ex)
-	}
+	p := &promWriter{bw: bufio.NewWriter(w), buf: make([]byte, 0, 2*flushChunk)}
 	for _, f := range r.walk() {
-		if f.fam.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.fam.name, escapeHelp(f.fam.help))
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.fam.name, f.fam.typ)
+		p.family(f.fam)
 		for _, s := range f.series {
-			s.expand(f.fam.name, point)
+			p.labels = s.labels
+			s.expand(f.fam.les, p.sample)
 		}
 	}
-	return bw.Flush()
+	_, _ = p.bw.Write(p.buf) // a write error is latched and returned by Flush
+	return p.bw.Flush()
 }
 
-// writeSample emits one `name{labels} value` line, labels sorted by key.
-// A non-nil exemplar appends the OpenMetrics-style
-// `# {trace_id="..."} value` suffix linking the bucket to the trace that
-// last landed in it.
-func writeSample(w io.Writer, name string, labels []Label, value float64, ex *Exemplar) {
-	suffix := ""
+// flushChunk is the buffered size at which the writer hands its buffer on:
+// bufio's default size, so each chunk goes straight to the underlying
+// writer.
+const flushChunk = 4096
+
+// promWriter renders one exposition. name and labels are the family and
+// series in progress.
+type promWriter struct {
+	bw     *bufio.Writer
+	buf    []byte
+	name   string
+	labels []Label
+}
+
+// family starts a family: its # HELP line, when it has help, then # TYPE.
+func (p *promWriter) family(f *family) {
+	p.name = f.name
+	b := p.buf
+	if f.help != "" {
+		b = append(b, "# HELP "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = appendEscaped(b, f.help, false)
+		b = append(b, '\n')
+	}
+	b = append(b, "# TYPE "...)
+	b = append(b, f.name...)
+	b = append(b, ' ')
+	b = append(b, f.typ...)
+	p.endLine(b)
+}
+
+// sample writes one `name{labels} value` line, labels sorted by key with a
+// bucket's le placed among them by key. A non-nil exemplar appends the
+// OpenMetrics-style `# {trace_id="..."} value` suffix linking the bucket to
+// the trace that last landed in it.
+func (p *promWriter) sample(suffix, le string, v float64, ex *Exemplar) {
+	b := append(p.buf, p.name...)
+	b = append(b, suffix...)
+	var stack [stackLabels]Label
+	ls := append(stack[:0], p.labels...)
+	if le != "" {
+		ls = append(ls, Label{Key: "le", Value: le})
+	}
+	if len(ls) > 0 {
+		sortByKey(ls)
+		b = append(b, '{')
+		for i, l := range ls {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, l.Key...)
+			b = append(b, '=', '"')
+			b = appendEscaped(b, l.Value, true)
+			b = append(b, '"')
+		}
+		b = append(b, '}')
+	}
+	b = append(b, ' ')
+	b = appendFloat(b, v)
 	if ex != nil {
-		suffix = fmt.Sprintf(" # {trace_id=\"%s\"} %s", escapeLabel(ex.TraceID), formatFloat(ex.Value))
+		b = append(b, ` # {trace_id="`...)
+		b = appendEscaped(b, ex.TraceID, true)
+		b = append(b, `"} `...)
+		b = appendFloat(b, ex.Value)
 	}
-	if len(labels) == 0 {
-		fmt.Fprintf(w, "%s %s%s\n", name, formatFloat(value), suffix)
-		return
-	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	parts := make([]string, len(sorted))
-	for i, l := range sorted {
-		parts[i] = l.Key + `="` + escapeLabel(l.Value) + `"`
-	}
-	fmt.Fprintf(w, "%s{%s} %s%s\n", name, strings.Join(parts, ","), formatFloat(value), suffix)
+	p.endLine(b)
 }
 
-func formatFloat(v float64) string {
+// endLine terminates the line appended to b and keeps it as the buffer,
+// handing the buffer on once it holds a chunk.
+func (p *promWriter) endLine(b []byte) {
+	p.buf = append(b, '\n')
+	if len(p.buf) >= flushChunk {
+		_, _ = p.bw.Write(p.buf) // latched, as above
+		p.buf = p.buf[:0]
+	}
+}
+
+// appendFloat appends v as the text format writes a value: shortest 'g'
+// form, with +Inf spelled out.
+func appendFloat(b []byte, v float64) []byte {
 	if math.IsInf(v, +1) {
-		return "+Inf"
+		return append(b, "+Inf"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// escapeLabel escapes a label value per the text format: exactly \\, \"
-// and \n — Go's %q would also emit escapes (\t, \x..) the format does not
-// define, so the quoting is done by hand.
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// appendEscaped appends s escaped per the text format: \ and newline as
+// \\ and \n, and in a label value (quote) " as \" — exactly those three.
+// Go's %q would also emit escapes (\t, \x..) the format does not define,
+// so the quoting is done by hand.
+func appendEscaped(b []byte, s string, quote bool) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc byte
+		switch s[i] {
+		case '\\':
+			esc = '\\'
+		case '\n':
+			esc = 'n'
+		case '"':
+			if !quote {
+				continue
+			}
+			esc = '"'
+		default:
+			continue
+		}
+		b = append(b, s[start:i]...)
+		b = append(b, '\\', esc)
+		start = i + 1
+	}
+	return append(b, s[start:]...)
 }
 
 // ValidateExposition is a strict parser for the Prometheus text format:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,9 +96,6 @@ type Histogram struct {
 }
 
 func newHistogram(uppers []float64) *Histogram {
-	if len(uppers) == 0 {
-		uppers = DefBuckets
-	}
 	for i := 1; i < len(uppers); i++ {
 		if uppers[i] <= uppers[i-1] {
 			panic(fmt.Sprintf("telemetry: histogram buckets not ascending: %v", uppers))
@@ -239,6 +237,9 @@ type family struct {
 	help   string
 	typ    MetricType
 	uppers []float64 // histogram families only
+	// les holds a histogram family's le label values, one per bound and
+	// "+Inf" last, formatted once for every series and every walk.
+	les    []string
 	series map[string]*series
 }
 
@@ -258,26 +259,41 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// signature renders labels as a canonical sorted key.
+// stackLabels is the label count the renderers sort in a stack array; a
+// longer label set still renders, from a heap copy.
+const stackLabels = 16
+
+// signature renders labels as a canonical key sorted by label key —
+// k1="v1",k2="v2", values Go-quoted — building it in stack arrays so the
+// returned string is its one allocation.
 func signature(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := labels
-	if len(ls) > 1 {
-		ls = append([]Label(nil), labels...)
-		sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	}
-	var b strings.Builder
-	for i, l := range ls {
+	var ls [stackLabels]Label
+	sorted := append(ls[:0], labels...)
+	sortByKey(sorted)
+	var buf [256]byte
+	b := buf[:0]
+	for i, l := range sorted {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(l.Value))
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return b.String()
+	return string(b)
+}
+
+// sortByKey insertion-sorts labels by key in place. It is stable, and a
+// series carries a handful of labels, so it beats a general sort here.
+func sortByKey(labels []Label) {
+	for i := 1; i < len(labels); i++ {
+		for j := i; j > 0 && labels[j].Key < labels[j-1].Key; j-- {
+			labels[j], labels[j-1] = labels[j-1], labels[j]
+		}
+	}
 }
 
 func validate(name string, labels []Label) {
@@ -297,7 +313,18 @@ func validate(name string, labels []Label) {
 func (r *Registry) familyLocked(name, help string, typ MetricType, uppers []float64) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, uppers: uppers, series: map[string]*series{}}
+		f = &family{name: name, help: help, typ: typ, series: map[string]*series{}}
+		if typ == TypeHistogram {
+			if len(uppers) == 0 {
+				uppers = DefBuckets
+			}
+			f.uppers = append([]float64(nil), uppers...)
+			f.les = make([]string, len(uppers)+1)
+			for i, u := range uppers {
+				f.les[i] = string(appendFloat(nil, u))
+			}
+			f.les[len(uppers)] = "+Inf"
+		}
 		r.families[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s and %s", name, f.typ, typ))
@@ -310,25 +337,30 @@ func (r *Registry) familyLocked(name, help string, typ MetricType, uppers []floa
 // while r.mu is still held: a series must be fully built before any
 // concurrent lookup of the same (name, labels) can observe it, otherwise a
 // second caller races its read of the slot against the creator's write.
+// Only the creating branch validates: an existing series was validated
+// under the same name and label keys when it was created, and per-request
+// lookups (the HTTP and tenant counters) skip the regexps.
 func (r *Registry) lookup(name, help string, typ MetricType, uppers []float64, labels []Label) *series {
-	validate(name, labels)
 	sig := signature(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, typ, uppers)
-	s, ok := f.series[sig]
-	if !ok {
-		s = &series{sig: sig, labels: append([]Label(nil), labels...)}
-		switch typ {
-		case TypeCounter:
-			s.counter = &Counter{}
-		case TypeGauge:
-			s.gauge = &Gauge{}
-		case TypeHistogram:
-			s.hist = newHistogram(f.uppers)
+	if f, ok := r.families[name]; ok && f.typ == typ {
+		if s, ok := f.series[sig]; ok {
+			return s
 		}
-		f.series[sig] = s
 	}
+	validate(name, labels)
+	f := r.familyLocked(name, help, typ, uppers)
+	s := &series{sig: sig, labels: append([]Label(nil), labels...)}
+	switch typ {
+	case TypeCounter:
+		s.counter = &Counter{}
+	case TypeGauge:
+		s.gauge = &Gauge{}
+	case TypeHistogram:
+		s.hist = newHistogram(f.uppers)
+	}
+	f.series[sig] = s
 	return s
 }
 
@@ -420,12 +452,18 @@ type walkedFamily struct {
 	series []*series
 }
 
+// walkChunk is how many collected series (and twice as many labels) a walk
+// allocates at a time.
+const walkChunk = 128
+
 // walk is the registry's one reader; Samples, WritePrometheus and Snapshot
 // render from it. Under r.mu it copies every family and its series
 // pointers; after the unlock it runs each collector once. No reader
 // therefore touches a family's map while a writer may be creating a series
 // in it, and a collector is free to take its owner's locks. Families come
-// back sorted by name; one nothing emitted into is left out.
+// back sorted by name; one nothing emitted into is left out. The series a
+// collector emits, and their label slices, are carved from per-walk chunks
+// rather than allocated one by one.
 func (r *Registry) walk() []walkedFamily {
 	r.mu.Lock()
 	fams := make([]walkedFamily, 0, len(r.families))
@@ -440,21 +478,37 @@ func (r *Registry) walk() []walkedFamily {
 	collectors := r.collectors
 	r.mu.Unlock()
 
-	sort.Slice(fams, func(i, j int) bool { return fams[i].fam.name < fams[j].fam.name })
+	slices.SortFunc(fams, func(a, b walkedFamily) int { return strings.Compare(a.fam.name, b.fam.name) })
 	slot := make(map[*family]int, len(fams))
 	for i, f := range fams {
 		slot[f.fam] = i
 	}
+	var (
+		seriesChunk []series
+		labelChunk  []Label
+	)
 	emit := func(d Desc, value float64, labelValues ...string) {
 		if len(labelValues) != len(d.keys) {
 			panic(fmt.Sprintf("telemetry: metric %q emitted with %d label values for keys %v", d.f.name, len(labelValues), d.keys))
 		}
-		labels := make([]Label, len(d.keys))
-		for i, k := range d.keys {
-			labels[i] = Label{Key: k, Value: labelValues[i]}
+		var labels []Label
+		if n := len(d.keys); n > 0 {
+			if len(labelChunk)+n > cap(labelChunk) {
+				labelChunk = make([]Label, 0, max(2*walkChunk, n))
+			}
+			at := len(labelChunk)
+			labelChunk = labelChunk[:at+n]
+			labels = labelChunk[at : at+n : at+n]
+			for i, k := range d.keys {
+				labels[i] = Label{Key: k, Value: labelValues[i]}
+			}
 		}
+		if len(seriesChunk) == cap(seriesChunk) {
+			seriesChunk = make([]series, 0, walkChunk)
+		}
+		seriesChunk = append(seriesChunk, series{sig: signature(labels), labels: labels, value: value})
 		f := &fams[slot[d.f]]
-		f.series = append(f.series, &series{sig: signature(labels), labels: labels, value: value})
+		f.series = append(f.series, &seriesChunk[len(seriesChunk)-1])
 	}
 	for _, collect := range collectors {
 		collect(emit)
@@ -463,7 +517,7 @@ func (r *Registry) walk() []walkedFamily {
 	live := fams[:0]
 	for _, f := range fams {
 		if len(f.series) > 0 {
-			sort.Slice(f.series, func(i, j int) bool { return f.series[i].sig < f.series[j].sig })
+			slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.sig, b.sig) })
 			live = append(live, f)
 		}
 	}
@@ -471,27 +525,28 @@ func (r *Registry) walk() []walkedFamily {
 }
 
 // expand renders the series as exposition-shaped points and is the only
-// place a histogram is flattened: a counter or gauge is one point; a
-// histogram is one cumulative <name>_bucket point per bound (+Inf last,
-// each with its exemplar if any), then <name>_sum and <name>_count. Each
-// bucket is thereby an ordinary monotone counter series keyed by le, which
-// lets a store scraped from Samples answer quantile-over-histogram queries.
-func (s *series) expand(name string, point func(name string, labels []Label, v float64, ex *Exemplar)) {
-	if s.hist == nil {
-		point(name, s.labels, s.load(), nil)
+// place a histogram is flattened: a counter or gauge is one point with no
+// suffix; a histogram is one cumulative _bucket point per bound, le taken
+// from les (its family's formatted ladder, "+Inf" last) and each with its
+// exemplar if any, then _sum and _count, which carry no le. Each bucket is
+// thereby an ordinary monotone counter series keyed by le, which lets a
+// store scraped from Samples answer quantile-over-histogram queries. point
+// gets the pieces of a point, not a built label set: the text writer
+// appends them in place and Samples builds the label slice it stores.
+func (s *series) expand(les []string, point func(suffix, le string, v float64, ex *Exemplar)) {
+	h := s.hist
+	if h == nil {
+		point("", "", s.load(), nil)
 		return
 	}
-	cum, count, sum := s.hist.snapshot()
-	for i := range cum {
-		le := "+Inf"
-		if i < len(s.hist.uppers) {
-			le = formatFloat(s.hist.uppers[i])
-		}
-		labels := append(append(make([]Label, 0, len(s.labels)+1), s.labels...), Label{Key: "le", Value: le})
-		point(name+"_bucket", labels, float64(cum[i]), s.hist.exemplars[i].Load())
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		point("_bucket", les[i], float64(cum), h.exemplars[i].Load())
 	}
-	point(name+"_sum", s.labels, sum, nil)
-	point(name+"_count", s.labels, float64(count), nil)
+	count, sum := h.count.Load(), math.Float64frombits(h.sum.Load())
+	point("_sum", "", sum, nil)
+	point("_count", "", float64(count), nil)
 }
 
 // SeriesSnapshot is one series' current value for JSON payloads.

@@ -55,6 +55,25 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 	r.Counter("vital-bad-name", "")
 }
 
+// Names and label keys are validated only where a series is created, but
+// there they always are: a family that already holds valid series still
+// rejects a new series with an invalid label key, and the panic leaves the
+// registry usable.
+func TestRegistryInvalidLabelKeyPanicsInExistingFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("vital_test_total", "", L("route", "a")).Inc()
+	r.Counter("vital_test_total", "", L("route", "a")).Inc()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("invalid label key in an existing family did not panic")
+		}
+		if c := r.Counter("vital_test_total", "", L("route", "a")); c.Value() != 2 {
+			t.Fatalf("existing series = %d after the panic, want 2", c.Value())
+		}
+	}()
+	r.Counter("vital_test_total", "", L("0bad", "a"))
+}
+
 func TestHistogramBucketsAndSummary(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("vital_test_seconds", "", []float64{0.001, 0.01, 0.1, 1})

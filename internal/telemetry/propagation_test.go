@@ -79,10 +79,10 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 func TestTraceParentInvalidContextSerializesEmpty(t *testing.T) {
 	for _, sc := range []SpanContext{
 		{},
-		{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"},              // no span
-		{SpanID: 7},                                                // no trace
-		{TraceID: strings.Repeat("0", 32), SpanID: 7},              // all-zero trace
-		{TraceID: strings.Repeat("A", 32), SpanID: 7},              // uppercase
+		{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736"}, // no span
+		{SpanID: 7}, // no trace
+		{TraceID: strings.Repeat("0", 32), SpanID: 7},             // all-zero trace
+		{TraceID: strings.Repeat("A", 32), SpanID: 7},             // uppercase
 		{TraceID: "4bf92f3577b34da6a3ce929d0e0e47", SpanID: 0x2a}, // short
 	} {
 		if tp := sc.TraceParent(); tp != "" {

@@ -66,6 +66,7 @@ type DB struct {
 	order     []string // insertion-ordered keys, for deterministic iteration
 	appended  uint64   // total samples ever appended
 	evictions uint64   // chunks dropped by retention or the ring cap
+	bytes     int      // encoded bytes across every resident chunk
 
 	scrapeHist *telemetry.Histogram
 	registered []*telemetry.Registry // in registration order
@@ -102,13 +103,7 @@ func (db *DB) Register(reg *telemetry.Registry) {
 	chunkBytes := reg.GaugeDesc("vital_tsdb_chunk_bytes", "Encoded bytes resident across all series' chunks.")
 	reg.Collect(func(emit telemetry.Emit) {
 		db.mu.Lock()
-		var n int
-		for _, s := range db.series {
-			for _, c := range s.chunks {
-				n += len(c.buf)
-			}
-		}
-		appended, evictions, resident := db.appended, db.evictions, len(db.series)
+		appended, evictions, resident, n := db.appended, db.evictions, len(db.series), db.bytes
 		db.mu.Unlock()
 		emit(samples, float64(appended))
 		emit(evicted, float64(evictions))
@@ -180,7 +175,10 @@ func (db *DB) appendLocked(s *memSeries, ms int64, v float64) {
 	if len(s.chunks) == 0 || s.chunks[len(s.chunks)-1].n >= db.opts.ChunkSamples {
 		s.chunks = append(s.chunks, &chunk{})
 	}
-	s.chunks[len(s.chunks)-1].append(ms, v)
+	active := s.chunks[len(s.chunks)-1]
+	before := len(active.buf)
+	active.append(ms, v)
+	db.bytes += len(active.buf) - before
 	s.lastT = ms
 	db.appended++
 	// Retire expired chunks (never the active one): past the retention
@@ -191,9 +189,19 @@ func (db *DB) appendLocked(s *memSeries, ms int64, v float64) {
 		drop++
 	}
 	if drop > 0 {
+		db.bytes -= encodedBytes(s.chunks[:drop])
 		s.chunks = append([]*chunk(nil), s.chunks[drop:]...)
 		db.evictions += uint64(drop)
 	}
+}
+
+// encodedBytes sums the encoded bytes of chunks.
+func encodedBytes(chunks []*chunk) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c.buf)
+	}
+	return n
 }
 
 // Scrape samples every series of reg at now, appending one point per flat
@@ -221,6 +229,7 @@ func (db *DB) Scrape(reg *telemetry.Registry, now time.Time, extra ...telemetry.
 	for _, k := range db.order {
 		if s := db.series[k]; s.lastT < cutoff {
 			db.evictions += uint64(len(s.chunks))
+			db.bytes -= encodedBytes(s.chunks)
 			delete(db.series, k)
 			continue
 		}

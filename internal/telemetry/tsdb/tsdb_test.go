@@ -3,7 +3,9 @@ package tsdb
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -672,4 +674,78 @@ func TestScrapeExpiresStaleSeries(t *testing.T) {
 	if len(resp.Results) != 1 || len(resp.Results[0].Points) != 4 {
 		t.Fatalf("live series damaged by expiry: %+v", resp.Results)
 	}
+}
+
+// The vital_tsdb_chunk_bytes self-metric is a running total kept by
+// append, the ring-cap and retention drops, and series expiry; it must
+// equal a brute-force sum over every resident chunk after each scrape of
+// a seeded churn: a fast phase that overruns the ring cap, then a slow one
+// whose gaps cross the retention horizon, with apps coming and going so
+// their series expire.
+func TestChunkBytesRunningTotal(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	reg := telemetry.NewRegistry()
+	apps := []string{"a", "b", "c", "d", "e", "f"}
+	live := make([]bool, len(apps))
+	used := reg.GaugeDesc("vital_test_used", "Blocks held, per app.", "app")
+	reg.Collect(func(emit telemetry.Emit) {
+		for i, app := range apps {
+			if live[i] {
+				emit(used, rng.NormFloat64(), app)
+			}
+		}
+	})
+	db := New(Options{Retention: 20 * time.Second, ChunkSamples: 3, MaxChunks: 4})
+	db.Register(reg)
+	check := func(sec float64) {
+		t.Helper()
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		want := 0
+		for _, s := range db.series {
+			for _, c := range s.chunks {
+				want += len(c.buf)
+			}
+		}
+		if db.bytes != want {
+			t.Fatalf("t=%gs: running chunk bytes %d, brute-force sum %d", sec, db.bytes, want)
+		}
+	}
+	sec, peak, expired := 0.0, 0, false
+	for _, phase := range []struct {
+		steps int
+		step  float64
+	}{{150, 0.1}, {40, 8}} {
+		for i := 0; i < phase.steps; i++ {
+			sec += phase.step
+			if rng.Intn(3) == 0 {
+				j := rng.Intn(len(apps))
+				live[j] = !live[j]
+			}
+			db.Append("vital_test_direct", []telemetry.Label{telemetry.L("k", strconv.Itoa(rng.Intn(4)))}, ts(sec), rng.Float64())
+			db.Scrape(reg, ts(sec))
+			check(sec)
+			n := db.SeriesCount()
+			expired = expired || n < peak
+			peak = max(peak, n)
+		}
+	}
+	db.mu.Lock()
+	evictions := db.evictions
+	db.mu.Unlock()
+	if evictions == 0 || !expired {
+		t.Fatalf("churn evicted %d chunks, expired a series: %v — the fixture no longer reaches every path", evictions, expired)
+	}
+	for _, smp := range reg.Samples() {
+		if smp.Name == "vital_tsdb_chunk_bytes" {
+			db.mu.Lock()
+			want := db.bytes
+			db.mu.Unlock()
+			if smp.Value != float64(want) {
+				t.Fatalf("vital_tsdb_chunk_bytes = %v, running total %d", smp.Value, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("vital_tsdb_chunk_bytes not emitted")
 }
