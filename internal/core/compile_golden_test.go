@@ -12,13 +12,17 @@ import (
 	"strconv"
 	"testing"
 
+	"vital/internal/bitstream"
+	"vital/internal/hls"
+	"vital/internal/netlist"
 	"vital/internal/workload"
 )
 
 // compileGoldenDesigns are the Table 2 designs TestCompileGolden pins:
 // small enough for tier-1, varied enough to cover one- to multi-block
-// partitions.
-var compileGoldenDesigns = []string{"lenet-S", "svhn-S", "cifar10-S", "alexnet-S", "nin-M"}
+// partitions. alexnet-M is the largest cold_compile design (five blocks,
+// with maze-routing escalation).
+var compileGoldenDesigns = []string{"lenet-S", "svhn-S", "cifar10-S", "alexnet-S", "nin-M", "alexnet-M"}
 
 // compileGolden is one design's compile output as TestCompileGolden pins
 // it. The partition fields come first: they are fixed by synthesis,
@@ -26,12 +30,20 @@ var compileGoldenDesigns = []string{"lenet-S", "svhn-S", "cifar10-S", "alexnet-S
 // confined to local place-and-route must leave them byte-identical. The
 // P&R fields after them move whenever placement or routing does.
 type compileGolden struct {
-	Design          string `json:"design"`
-	NumBlocks       int    `json:"num_blocks"`
-	CutWidth        int    `json:"cut_width"`
-	PerBlockInBits  []int  `json:"per_block_in_bits"`
-	PerBlockOutBits []int  `json:"per_block_out_bits"`
-	Channels        int    `json:"channels"`
+	Design string `json:"design"`
+	// DesignKey and CompileKey are the design's two cache keys in hex;
+	// NetlistSHA256 digests the synthesized netlist with its names: every
+	// cell's kind and name, every net's name, width, driver and sinks,
+	// and every port.
+	DesignKey     string `json:"design_key"`
+	CompileKey    string `json:"compile_key"`
+	NetlistSHA256 string `json:"netlist_sha256"`
+
+	NumBlocks       int   `json:"num_blocks"`
+	CutWidth        int   `json:"cut_width"`
+	PerBlockInBits  []int `json:"per_block_in_bits"`
+	PerBlockOutBits []int `json:"per_block_out_bits"`
+	Channels        int   `json:"channels"`
 	// FramesSHA256[b] digests every frame of virtual block b's bitstream:
 	// address, payload and CRC, in frame order.
 	FramesSHA256 []string `json:"frames_sha256"`
@@ -45,9 +57,13 @@ type compileGolden struct {
 	SitesSHA256 string `json:"sites_sha256"`
 }
 
-func compileGoldenOf(app *CompiledApp) compileGolden {
+func compileGoldenOf(s *Stack, d *hls.Design, app *CompiledApp) compileGolden {
+	n := app.Netlist
 	g := compileGolden{
 		Design:          app.Name,
+		DesignKey:       DesignKey(d, s.CompileParams()).String(),
+		CompileKey:      bitstream.CompileKey(n, s.BlockCapacity, partitionSeed, s.MaxBlocksPerApp, s.Grid.Shape).String(),
+		NetlistSHA256:   netlistDigest(n),
 		NumBlocks:       app.Partition.NumBlocks,
 		CutWidth:        app.Partition.CutWidth,
 		PerBlockInBits:  app.Partition.PerBlockInBits,
@@ -78,6 +94,25 @@ func compileGoldenOf(app *CompiledApp) compileGolden {
 	return g
 }
 
+// netlistDigest hashes a netlist's names and structure in ID order.
+func netlistDigest(n *netlist.Netlist) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%q %d cells\n", n.Name, len(n.Cells))
+	for i := range n.Cells {
+		fmt.Fprintf(h, "%d %q\n", n.Cells[i].Kind, n.Cells[i].Name)
+	}
+	fmt.Fprintf(h, "%d nets\n", len(n.Nets))
+	for i := range n.Nets {
+		t := &n.Nets[i]
+		fmt.Fprintf(h, "%q %d %d %v\n", t.Name, t.Width, t.Driver, t.Sinks)
+	}
+	fmt.Fprintf(h, "%d ports\n", len(n.Ports))
+	for _, p := range n.Ports {
+		fmt.Fprintf(h, "%q %d %d %d\n", p.Name, p.Net, p.Dir, p.Width)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestCompileGolden pins the compile output of compileGoldenDesigns. The
 // flow is deterministic, so the file changes only when the compiler is
 // meant to: a P&R-only change may move the P&R fields and nothing else.
@@ -91,11 +126,12 @@ func TestCompileGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app, err := s.Compile(workload.BuildDesign(spec))
+		d := workload.BuildDesign(spec)
+		app, err := s.Compile(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, compileGoldenOf(app))
+		got = append(got, compileGoldenOf(s, d, app))
 	}
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
