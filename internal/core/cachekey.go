@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"fmt"
-
 	"vital/internal/bitstream"
 	"vital/internal/fpga"
 	"vital/internal/hls"
@@ -49,9 +46,9 @@ func (s *Stack) CompileParams() CompileParams {
 // different names map onto one key, one in-flight compile, one cache
 // entry.
 func DesignKey(d *hls.Design, p CompileParams) bitstream.CacheKey {
-	h := sha256.New()
+	w := bitstream.NewKeyWriter()
 	loopIdx := make(map[string]int)
-	fmt.Fprintf(h, "ops %d\n", len(d.Ops))
+	w.Line("ops", len(d.Ops))
 	for i := range d.Ops {
 		op := &d.Ops[i]
 		li, ok := loopIdx[op.Loop]
@@ -59,23 +56,14 @@ func DesignKey(d *hls.Design, p CompileParams) bitstream.CacheKey {
 			li = len(loopIdx)
 			loopIdx[op.Loop] = li
 		}
-		fmt.Fprintf(h, "o %d %d %d %d %d %d\n",
-			op.Kind, li, op.Budget.LUTs, op.Budget.DFFs, op.Budget.DSPs, op.Budget.BRAMs)
+		w.Line("o", int(op.Kind), li, op.Budget.LUTs, op.Budget.DFFs, op.Budget.DSPs, op.Budget.BRAMs)
 	}
-	fmt.Fprintf(h, "conns %d\n", len(d.Conns))
+	w.Line("conns", len(d.Conns))
 	for _, c := range d.Conns {
-		fmt.Fprintf(h, "c %d %d %d\n", c.From, c.To, c.Width)
+		w.Line("c", int(c.From), int(c.To), c.Width)
 	}
-	fmt.Fprintf(h, "capacity %d %d %d %d\n",
-		p.BlockCapacity.LUTs, p.BlockCapacity.DFFs, p.BlockCapacity.DSPs, p.BlockCapacity.BRAMKb)
-	fmt.Fprintf(h, "seed %d maxblocks %d\n", p.PartitionSeed, p.MaxBlocks)
-	fmt.Fprintf(h, "shape rows %d\n", p.Shape.Rows)
-	for _, c := range p.Shape.Columns {
-		fmt.Fprintf(h, "col %d %d\n", c.Kind, c.SitesPerDie)
-	}
-	var k bitstream.CacheKey
-	h.Sum(k[:0])
-	return k
+	w.Params(p.BlockCapacity, p.PartitionSeed, p.MaxBlocks, p.Shape)
+	return w.Sum()
 }
 
 // designKey is DesignKey under this stack's own parameters.

@@ -16,22 +16,30 @@ type Grid struct {
 	Shape BlockShape
 	// Width is the number of columns, Rows the block height in CLB rows.
 	Width, Rows int
+	// colsOfKind[k] lists the indices of the columns carrying kind k,
+	// left to right.
+	colsOfKind [numColumnKinds][]int
 }
 
 // NewGrid builds the site grid for a block shape.
 func NewGrid(shape BlockShape) *Grid {
-	return &Grid{Shape: shape, Width: len(shape.Columns), Rows: shape.Rows}
-}
-
-// ColumnsOfKind returns the column indices carrying the given kind.
-func (g *Grid) ColumnsOfKind(k ColumnKind) []int {
-	var cols []int
-	for i, c := range g.Shape.Columns {
-		if c.Kind == k {
-			cols = append(cols, i)
+	g := &Grid{Shape: shape, Width: len(shape.Columns), Rows: shape.Rows}
+	for i, c := range shape.Columns {
+		if int(c.Kind) < numColumnKinds {
+			g.colsOfKind[c.Kind] = append(g.colsOfKind[c.Kind], i)
 		}
 	}
-	return cols
+	return g
+}
+
+// ColumnsOfKind returns the column indices carrying the given kind, left
+// to right. The slice is the grid's own, built once by NewGrid and shared
+// by every caller: it must not be modified.
+func (g *Grid) ColumnsOfKind(k ColumnKind) []int {
+	if int(k) >= numColumnKinds {
+		return nil
+	}
+	return g.colsOfKind[k]
 }
 
 // SitesInColumn returns the number of sites in column col.

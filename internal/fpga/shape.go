@@ -25,6 +25,7 @@ const (
 	ColCLB ColumnKind = iota
 	ColDSP
 	ColBRAM
+	numColumnKinds = iota
 )
 
 // Per-CLB-site primitive capacities of an UltraScale+ SLICE.

@@ -2,6 +2,7 @@ package hls
 
 import (
 	"fmt"
+	"strconv"
 
 	"vital/internal/netlist"
 )
@@ -43,13 +44,14 @@ func Synthesize(d *Design) (*SynthesisResult, error) {
 	}
 	n := netlist.New(d.Name)
 	res := &SynthesisResult{Netlist: n}
+	var nm namer
 	for _, op := range d.Ops {
-		res.Ops = append(res.Ops, lowerOp(n, &op))
+		res.Ops = append(res.Ops, lowerOp(n, &nm, &op))
 	}
 	// Inter-operator connections become bus nets from the producer's
 	// output cell into the consumer's control head and datapath.
 	for i, c := range d.Conns {
-		t := n.AddNet(fmt.Sprintf("%s/conn%d", d.Name, i), c.Width)
+		t := n.AddNet(nm.name(d.Name, "/conn", i), c.Width)
 		n.SetDriver(t, res.Ops[c.From].OutCell)
 		to := res.Ops[c.To]
 		n.AddSink(t, to.InCell)
@@ -99,10 +101,11 @@ var anchorStrides = [...]int{211, 499, 823, 389}
 // become MAC slices with operand-select LUT groups, BRAMs become buffer
 // primitives anchored into the datapath, and the remaining LUTs and DFFs
 // form a woven serpentine datapath fabric (the bit-sliced pipeline).
-func lowerOp(n *netlist.Netlist, op *Op) Lowered {
+func lowerOp(n *netlist.Netlist, nm *namer, op *Op) Lowered {
 	first := netlist.CellID(n.NumCells())
 	b := op.Budget
-	name := func(part string, i int) string { return fmt.Sprintf("%s/%s%d", op.Name, part, i) }
+	base := op.Name + "/"
+	name := func(part string, i int) string { return nm.name(base, part, i) }
 
 	lutsLeft := b.LUTs
 
@@ -113,7 +116,7 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 		ctrl = append(ctrl, n.AddCell(netlist.KindLUT, name("ctrl", i)))
 	}
 	lutsLeft -= nCtrl
-	chainUp(n, ctrl, op.Name+"/ctrl", 1)
+	chainUp(n, nm, ctrl, op.Name+"/ctrl", 1)
 
 	// MAC array: one DSP per MAC, chained systolically, each with a small
 	// operand-select LUT group.
@@ -121,7 +124,7 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 	for i := 0; i < b.DSPs; i++ {
 		macs = append(macs, n.AddCell(netlist.KindDSP, name("mac", i)))
 	}
-	chainUp(n, macs, op.Name+"/psum", macChainWidth)
+	chainUp(n, nm, macs, op.Name+"/psum", macChainWidth)
 	pePer := 0
 	if len(macs) > 0 {
 		pePer = min(lutsLeft/len(macs), peGroupLUTs)
@@ -131,13 +134,14 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 		if pePer == 0 {
 			break
 		}
+		pe := "pe" + strconv.Itoa(i)
 		group := make([]netlist.CellID, 0, pePer)
 		for j := 0; j < pePer; j++ {
-			group = append(group, n.AddCell(netlist.KindLUT, name(fmt.Sprintf("pe%d_l", i), j)))
+			group = append(group, n.AddCell(netlist.KindLUT, name(pe+"_l", j)))
 		}
 		lutsLeft -= pePer
-		chainUp(n, group, fmt.Sprintf("%s/pe%d_op", op.Name, i), peFeedWidth)
-		t := n.AddNet(fmt.Sprintf("%s/pe%d_to_mac", op.Name, i), peFeedWidth)
+		chainUp(n, nm, group, op.Name+"/"+pe+"_op", peFeedWidth)
+		t := n.AddNet(op.Name+"/"+pe+"_to_mac", peFeedWidth)
 		n.SetDriver(t, group[len(group)-1])
 		n.AddSink(t, m)
 		peHeads = append(peHeads, group[0])
@@ -176,9 +180,9 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 			}
 		}
 	}
-	chainUp(n, fabric, op.Name+"/dp", 1)
+	chainUp(n, nm, fabric, op.Name+"/dp", 1)
 	for j := 0; j+weaveSpan < len(fabric); j += weaveStep {
-		t := n.AddNet(fmt.Sprintf("%s/weave%d", op.Name, j), 1)
+		t := n.AddNet(name("weave", j), 1)
 		n.SetDriver(t, fabric[j])
 		n.AddSink(t, fabric[j+weaveSpan])
 	}
@@ -190,7 +194,7 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 			driver = ctrl[len(ctrl)-1]
 		}
 		for bus := 0; bus < broadcastBuses; bus++ {
-			t := n.AddNet(fmt.Sprintf("%s/bcast%d", op.Name, bus), broadcastWidth)
+			t := n.AddNet(name("bcast", bus), broadcastWidth)
 			n.SetDriver(t, driver)
 			for tap := 0; tap < broadcastTaps; tap++ {
 				idx := (tap*len(fabric)/broadcastTaps + bus*17 + 1) % len(fabric)
@@ -205,7 +209,7 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 			break
 		}
 		src := fabric[(i*617)%len(fabric)]
-		t := n.AddNet(fmt.Sprintf("%s/pe%d_feed", op.Name, i), peFeedWidth)
+		t := n.AddNet(op.Name+"/pe"+strconv.Itoa(i)+"_feed", peFeedWidth)
 		n.SetDriver(t, src)
 		n.AddSink(t, head)
 	}
@@ -219,7 +223,7 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 		brams = append(brams, n.AddCell(netlist.KindBRAM, name("buf", i)))
 	}
 	for i, bram := range brams {
-		rd := n.AddNet(fmt.Sprintf("%s/rd%d", op.Name, i), bufferBusWidth)
+		rd := n.AddNet(name("rd", i), bufferBusWidth)
 		n.SetDriver(rd, bram)
 		hasSink := false
 		if len(macs) > 0 {
@@ -231,7 +235,7 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 			for _, stride := range anchorStrides[:3] {
 				n.AddSink(rd, fabric[(i*stride)%len(fabric)])
 			}
-			wr := n.AddNet(fmt.Sprintf("%s/wr%d", op.Name, i), bufferBusWidth)
+			wr := n.AddNet(name("wr", i), bufferBusWidth)
 			n.SetDriver(wr, fabric[(i*anchorStrides[3])%len(fabric)])
 			n.AddSink(wr, bram)
 			hasSink = true
@@ -299,10 +303,20 @@ func lowerOp(n *netlist.Netlist, op *Op) Lowered {
 
 // chainUp links cells[i] → cells[i+1] with nets of the given width,
 // modelling shift registers and systolic chains.
-func chainUp(n *netlist.Netlist, cells []netlist.CellID, prefix string, width int) {
+func chainUp(n *netlist.Netlist, nm *namer, cells []netlist.CellID, prefix string, width int) {
 	for i := 0; i+1 < len(cells); i++ {
-		t := n.AddNet(fmt.Sprintf("%s_c%d", prefix, i), width)
+		t := n.AddNet(nm.name(prefix, "_c", i), width)
 		n.SetDriver(t, cells[i])
 		n.AddSink(t, cells[i+1])
 	}
+}
+
+// namer renders "<base><part><i>" names in one reused buffer, so each
+// generated cell or net name costs one allocation: its own string.
+type namer struct{ buf []byte }
+
+func (nm *namer) name(base, part string, i int) string {
+	nm.buf = append(append(nm.buf[:0], base...), part...)
+	nm.buf = strconv.AppendInt(nm.buf, int64(i), 10)
+	return string(nm.buf)
 }

@@ -79,10 +79,15 @@ func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.N || len(x) != m.N {
 		panic("linalg: MulVec dimension mismatch")
 	}
-	for r := 0; r < m.N; r++ {
+	// Ranging over each row's three-index subslices lets the compiler drop
+	// the bounds checks on Val and Col; entries are summed in stored
+	// order, exactly as an index loop over RowPtr would.
+	for r := range dst {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols := m.Col[lo:hi:hi]
 		s := 0.0
-		for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
-			s += m.Val[i] * x[m.Col[i]]
+		for i, v := range m.Val[lo:hi:hi] {
+			s += v * x[cols[i]]
 		}
 		dst[r] = s
 	}

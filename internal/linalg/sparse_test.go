@@ -198,3 +198,36 @@ func TestFromTripletsSumsDuplicatesInInputOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestMulVecMatchesNaiveLoop checks MulVec bit for bit against the index
+// loop over RowPtr on random matrices: empty rows, dense rows and random
+// magnitudes, so any change in summation order would show.
+func TestMulVecMatchesNaiveLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(60)
+		var ts []Triplet
+		for k := rng.Intn(n * n); k > 0; k-- {
+			ts = append(ts, Triplet{rng.Intn(n), rng.Intn(n), (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))})
+		}
+		m, err := FromTriplets(n, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		got := make([]float64, n)
+		m.MulVec(got, x)
+		for r := 0; r < n; r++ {
+			want := 0.0
+			for i := m.RowPtr[r]; i < m.RowPtr[r+1]; i++ {
+				want += m.Val[i] * x[m.Col[i]]
+			}
+			if math.Float64bits(got[r]) != math.Float64bits(want) {
+				t.Fatalf("iteration %d row %d: MulVec %v, naive loop %v", iter, r, got[r], want)
+			}
+		}
+	}
+}

@@ -63,6 +63,24 @@ func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 	stamp := make([]int, n.NumCells())
 	curStamp := 0
 
+	// frontier holds the unpacked neighbours of the growing cluster as a
+	// dense list; pos[c] is cell c's index in it, or -1 when c is not on
+	// it, so adding and swap-removing a cell are both O(1). The order of
+	// the list is arbitrary: selection below does not depend on it.
+	var frontier []netlist.CellID
+	pos := make([]int32, n.NumCells())
+	for i := range pos {
+		pos[i] = -1
+	}
+	remove := func(c netlist.CellID) {
+		i := pos[c]
+		last := frontier[len(frontier)-1]
+		frontier[i] = last
+		pos[last] = i
+		frontier = frontier[:len(frontier)-1]
+		pos[c] = -1
+	}
+
 	for _, seedIdx := range order {
 		seed := netlist.CellID(seedIdx)
 		if packed[seed] != -1 {
@@ -70,8 +88,6 @@ func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 		}
 		curStamp++
 		cl := &Cluster{ID: len(clusters)}
-		// frontier holds the unpacked neighbours of the growing cluster.
-		frontier := make(map[netlist.CellID]struct{})
 		addCell := func(c netlist.CellID) {
 			packed[c] = cl.ID
 			cl.Cells = append(cl.Cells, c)
@@ -79,7 +95,9 @@ func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 			if n.Cells[c].Kind == netlist.KindIO {
 				cl.HasIO = true
 			}
-			delete(frontier, c)
+			if pos[c] >= 0 {
+				remove(c)
+			}
 			for _, e := range adj[c] {
 				if packed[e.To] == -1 {
 					if stamp[e.To] != curStamp {
@@ -87,7 +105,10 @@ func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 						inCluster[e.To] = 0
 					}
 					inCluster[e.To]++
-					frontier[e.To] = struct{}{}
+					if pos[e.To] < 0 {
+						pos[e.To] = int32(len(frontier))
+						frontier = append(frontier, e.To)
+					}
 				}
 			}
 		}
@@ -99,25 +120,18 @@ func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 			// result is deterministic for a given seed.
 			best := netlist.NoCell
 			bestScore := -1.0
-			for cand := range frontier {
-				if packed[cand] != -1 {
-					delete(frontier, cand)
-					continue
-				}
+			for _, cand := range frontier {
 				score := float64(inCluster[cand]) / float64(max(degree[cand], 1))
 				if score > bestScore || (score == bestScore && cand < best) {
 					bestScore, best = score, cand
 				}
-			}
-			if best == netlist.NoCell {
-				break
 			}
 			probe := cl.Res
 			probe.AddCell(n.Cells[best].Kind)
 			if !probe.FitsIn(cfg.capacity) {
 				// Capacity reached for this candidate's resource class;
 				// exclude it from this cluster and continue with others.
-				delete(frontier, best)
+				remove(best)
 				continue
 			}
 			addCell(best)

@@ -142,19 +142,8 @@ func prepare(n *netlist.Netlist, cfg Config) (*prepared, error) {
 	if cfg.BlockCapacity.IsZero() {
 		return nil, errors.New("partition: BlockCapacity not set")
 	}
-	packAdj := n.AdjacencyCapped(cfg.MaxFanout, cfg.PackBoundaryWidth)
-	clusterCap := netlist.Resources{
-		LUTs:   max(cfg.BlockCapacity.LUTs/cfg.ClusterShrink, 1),
-		DFFs:   max(cfg.BlockCapacity.DFFs/cfg.ClusterShrink, 1),
-		DSPs:   max(cfg.BlockCapacity.DSPs/cfg.ClusterShrink, 1),
-		BRAMKb: max(cfg.BlockCapacity.BRAMKb/cfg.ClusterShrink, netlist.BRAMKb),
-	}
-	clusters := pack(n, packAdj, packConfig{
-		capacity:  clusterCap,
-		maxFanout: cfg.MaxFanout,
-		seed:      cfg.Seed,
-		mergeFrac: 0.25,
-	})
+	adj, pc := packInputs(n, cfg)
+	clusters := pack(n, adj, pc)
 	clusterOf := make([]int, n.NumCells())
 	for _, cl := range clusters {
 		for _, c := range cl.Cells {
@@ -169,6 +158,23 @@ func prepare(n *netlist.Netlist, cfg Config) (*prepared, error) {
 		g:         buildClusterGraph(n, clusterOf, len(clusters), cfg.MaxFanout),
 		spans:     buildSpans(n, clusterOf),
 	}, nil
+}
+
+// packInputs returns the capped adjacency and the configuration packing
+// runs with under cfg (already defaulted).
+func packInputs(n *netlist.Netlist, cfg Config) ([][]netlist.Edge, packConfig) {
+	clusterCap := netlist.Resources{
+		LUTs:   max(cfg.BlockCapacity.LUTs/cfg.ClusterShrink, 1),
+		DFFs:   max(cfg.BlockCapacity.DFFs/cfg.ClusterShrink, 1),
+		DSPs:   max(cfg.BlockCapacity.DSPs/cfg.ClusterShrink, 1),
+		BRAMKb: max(cfg.BlockCapacity.BRAMKb/cfg.ClusterShrink, netlist.BRAMKb),
+	}
+	return n.AdjacencyCapped(cfg.MaxFanout, cfg.PackBoundaryWidth), packConfig{
+		capacity:  clusterCap,
+		maxFanout: cfg.MaxFanout,
+		seed:      cfg.Seed,
+		mergeFrac: 0.25,
+	}
 }
 
 // Partition splits the netlist into exactly numBlocks virtual blocks using

@@ -74,12 +74,16 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 		return nil
 	}
 	idx := func(x, y int) int { return x*g.h + y }
-	gScore := make([]float64, g.w*g.h)
+	if g.gScore == nil {
+		g.gScore = make([]float64, g.w*g.h)
+		g.cameFrom = make([]edgeRef, g.w*g.h)
+		g.hasFrom = make([]bool, g.w*g.h)
+	}
+	gScore, cameFrom, hasFrom := g.gScore, g.cameFrom, g.hasFrom
 	for i := range gScore {
 		gScore[i] = math.Inf(1)
 	}
-	cameFrom := make([]edgeRef, g.w*g.h)
-	hasFrom := make([]bool, g.w*g.h)
+	clear(hasFrom)
 	heur := func(x, y int) float64 {
 		return math.Abs(float64(x-x1)) + math.Abs(float64(y-y1))
 	}

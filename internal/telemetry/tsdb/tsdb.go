@@ -7,7 +7,7 @@
 // cannot provide. Both serving tiers embed one: vitald over the
 // controller registry, vitalgw over the gateway registry (its /query
 // additionally federates the backend's series under a tier label), and
-// cmd/vitalreplay drives one deterministically to report
+// `vitalscenario replay` drives one deterministically to report
 // utilization/fragmentation/SLO curves for a replayed tenant mix.
 package tsdb
 
