@@ -63,12 +63,12 @@ lint-sarif:
 # flattens a 256-tenant gateway-shaped registry (the exposition's
 # ns/op and allocs/op before/after numbers come from them, run with
 # -benchtime 2s -count 5). The per-stage compile benchmarks price packing,
-# synthesis, the compile key and one block's routing on their own, each
-# in its stage's package.
+# synthesis and one block's routing on their own, each in its stage's
+# package.
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkTable2CompileSerial$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkWritePrometheus$$|BenchmarkSamples$$' -benchtime=1x ./internal/telemetry
-	$(GO) test -run=NONE -bench='BenchmarkPack$$|BenchmarkSynthesize$$|BenchmarkCompileKey$$|BenchmarkRouteBlock$$' -benchtime=1x ./internal/partition ./internal/hls ./internal/bitstream ./internal/pnr
+	$(GO) test -run=NONE -bench='BenchmarkPack$$|BenchmarkSynthesize$$|BenchmarkRouteBlock$$' -benchtime=1x ./internal/partition ./internal/hls ./internal/pnr
 
 # End-to-end benchmark smoke through the harness entry BENCHMARK.json
 # names: five seconds of sprawl_open — the one vitalperf workload that

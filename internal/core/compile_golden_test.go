@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"testing"
 
-	"vital/internal/bitstream"
 	"vital/internal/hls"
 	"vital/internal/netlist"
 	"vital/internal/workload"
@@ -31,12 +30,10 @@ var compileGoldenDesigns = []string{"lenet-S", "svhn-S", "cifar10-S", "alexnet-S
 // P&R fields after them move whenever placement or routing does.
 type compileGolden struct {
 	Design string `json:"design"`
-	// DesignKey and CompileKey are the design's two cache keys in hex;
-	// NetlistSHA256 digests the synthesized netlist with its names: every
-	// cell's kind and name, every net's name, width, driver and sinks,
-	// and every port.
+	// DesignKey is the design's cache key in hex; NetlistSHA256 digests
+	// the synthesized netlist with its names: every cell's kind and name,
+	// every net's name, width, driver and sinks, and every port.
 	DesignKey     string `json:"design_key"`
-	CompileKey    string `json:"compile_key"`
 	NetlistSHA256 string `json:"netlist_sha256"`
 
 	NumBlocks       int   `json:"num_blocks"`
@@ -62,7 +59,6 @@ func compileGoldenOf(s *Stack, d *hls.Design, app *CompiledApp) compileGolden {
 	g := compileGolden{
 		Design:          app.Name,
 		DesignKey:       DesignKey(d, s.CompileParams()).String(),
-		CompileKey:      bitstream.CompileKey(n, s.BlockCapacity, partitionSeed, s.MaxBlocksPerApp, s.Grid.Shape).String(),
 		NetlistSHA256:   netlistDigest(n),
 		NumBlocks:       app.Partition.NumBlocks,
 		CutWidth:        app.Partition.CutWidth,

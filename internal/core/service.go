@@ -58,7 +58,7 @@ func (s *Stack) CompileSpec(ctx context.Context, design, appName string) (*Compi
 	}
 	s.mu.Unlock()
 
-	app, err := s.CompileWithOptions(ctx, d, CompileOptions{})
+	app, err := s.compile(ctx, d, dkey, CompileOptions{})
 	if err != nil {
 		return nil, err
 	}

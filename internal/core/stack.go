@@ -189,22 +189,27 @@ func (s *Stack) Compile(d *hls.Design) (*CompiledApp, error) {
 // error cancels the rest. The flow is deterministic, so the artifacts are
 // bit-identical whatever the worker count.
 //
-// Before doing any work the controller's compile cache is consulted, at
-// two levels. The authoritative key is content-addressed over the
-// synthesized netlist's structure plus the compile parameters (block
-// capacity, partition seed, block search bound, grid shape — never a
-// name). A cheaper pre-synthesis key over the design's operator-graph
-// structure is registered as an alias for it, so recompiling a design the
-// cluster has seen — many tenants deploying the same accelerator under
-// different names — skips the whole flow, synthesis included: a hash, a
-// lookup, and a rebranding clone of the cached artifacts.
+// Before doing any work the controller's compile cache is consulted under
+// the design key (DesignKey): the design's operator-graph structure plus
+// the compile parameters (block capacity, partition seed, block search
+// bound, grid shape — never a name). Synthesis is deterministic, so the key
+// over its input is as good as one over its output, and recompiling a
+// design the cluster has seen — many tenants deploying the same
+// accelerator under different names — skips the whole flow, synthesis
+// included: a hash, a lookup, and a rebranding clone of the cached
+// artifacts.
 // Every compile runs under a root "compile" span in the controller's
 // tracer, with one child span per Fig. 5 stage and one per block inside
 // the parallel stages, so a retrieved trace reproduces the Fig. 8
 // breakdown and shows the fan-out shape of steps 4 and 5. Wall time lands
 // in the vital_compile_seconds{cache=hit|miss} histogram and per-stage
 // wall time in vital_compile_stage_seconds{stage=...}.
-func (s *Stack) CompileWithOptions(ctx context.Context, d *hls.Design, opts CompileOptions) (out *CompiledApp, err error) {
+func (s *Stack) CompileWithOptions(ctx context.Context, d *hls.Design, opts CompileOptions) (*CompiledApp, error) {
+	return s.compile(ctx, d, s.designKey(d), opts)
+}
+
+// compile is CompileWithOptions with d's design key already hashed.
+func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheKey, opts CompileOptions) (out *CompiledApp, err error) {
 	wallStart := time.Now()
 	// StartSpan continues the request's trace when ctx carries one (a
 	// gateway submit arriving through the instrumented /compile route);
@@ -231,17 +236,9 @@ func (s *Stack) CompileWithOptions(ctx context.Context, d *hls.Design, opts Comp
 
 	cache := s.Controller.Cache
 	useCache := cache != nil && !opts.NoCache
-	var dkey bitstream.CacheKey
 	if useCache {
-		// Fast path: a design structurally identical to one already
-		// compiled resolves to its compile key before synthesis runs.
-		csp := sp.Child("cache.lookup", telemetry.String("key", "design"))
-		dkey = s.designKey(d)
-		key, ok := cache.Resolve(dkey)
-		var v interface{}
-		if ok {
-			v, ok = cache.Get(key)
-		}
+		csp := sp.Child("cache.lookup")
+		v, ok := cache.Get(key)
 		csp.SetAttr("hit", strconv.FormatBool(ok))
 		csp.End()
 		if ok {
@@ -260,27 +257,6 @@ func (s *Stack) CompileWithOptions(ctx context.Context, d *hls.Design, opts Comp
 	}
 	app.Netlist = synth.Netlist
 	app.Times.Synthesis = time.Since(t0)
-
-	var key bitstream.CacheKey
-	if useCache {
-		key = bitstream.CompileKey(app.Netlist, s.BlockCapacity, partitionSeed, s.MaxBlocksPerApp, s.Grid.Shape)
-		csp := sp.Child("cache.lookup", telemetry.String("key", "netlist"))
-		v, ok := cache.Get(key)
-		csp.SetAttr("hit", strconv.FormatBool(ok))
-		csp.End()
-		if ok {
-			// Different design structure, same netlist: remember the new
-			// alias so the next compile of this design skips synthesis.
-			cache.AddAlias(dkey, key)
-			hit, err := s.serveCacheHit(v.(*CompiledApp), d.Name, wallStart)
-			if err != nil {
-				return nil, err
-			}
-			hit.Netlist = app.Netlist
-			hit.Times.Synthesis = app.Times.Synthesis
-			return hit, nil
-		}
-	}
 
 	// Step 2 — partition (custom tool, Section 4).
 	t0 = time.Now()
@@ -384,7 +360,6 @@ func (s *Stack) CompileWithOptions(ctx context.Context, d *hls.Design, opts Comp
 		// Cache a private clone: entries are shared across tenants and
 		// treated as immutable, so the caller's app must not alias them.
 		cache.Put(key, app.cloneFor(app.Name))
-		cache.AddAlias(dkey, key)
 	}
 	ssp.End()
 	app.Wall = time.Since(wallStart)

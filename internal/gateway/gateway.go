@@ -335,7 +335,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The coalescing handle: the same content-addressed key the backend's
-	// compile cache aliases, computed without compiling anything.
+	// compile cache is keyed by, computed without compiling anything.
 	d := workload.BuildDesign(spec)
 	dkey := core.DesignKey(d, g.params)
 

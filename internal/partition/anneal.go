@@ -19,7 +19,6 @@ type legalizer struct {
 	g        *clusterGraph
 	numBlock int
 	capacity netlist.Resources
-	alpha    float64
 	rng      *rand.Rand
 
 	// Continuous positions from the quadratic solve (the x', y' of Eq. 3).
@@ -33,10 +32,10 @@ type legalizer struct {
 // over-utilized block.
 const overflowPenalty = 1e6
 
-func newLegalizer(clusters []*Cluster, g *clusterGraph, numBlock int, capacity netlist.Resources, alpha float64, px, py []float64, rng *rand.Rand) *legalizer {
+func newLegalizer(clusters []*Cluster, g *clusterGraph, numBlock int, capacity netlist.Resources, px, py []float64, rng *rand.Rand) *legalizer {
 	l := &legalizer{
 		clusters: clusters, g: g, numBlock: numBlock, capacity: capacity,
-		alpha: alpha, rng: rng, px: px, py: py,
+		rng: rng, px: px, py: py,
 		assign: make([]int, len(clusters)),
 		usage:  make([]netlist.Resources, numBlock),
 	}
@@ -86,7 +85,7 @@ func blockCenter(k int) (float64, float64) { return float64(k) + 0.5, 0.5 }
 // moveCost is the Eq. 3 displacement term for one cluster in a block.
 func (l *legalizer) moveCost(ci, blk int) float64 {
 	bx, by := blockCenter(blk)
-	return l.alpha*math.Abs(l.px[ci]-bx) + math.Abs(l.py[ci]-by)
+	return alpha*math.Abs(l.px[ci]-bx) + math.Abs(l.py[ci]-by)
 }
 
 // overflow reports whether usage exceeds capacity (f_i > 0).
@@ -250,7 +249,7 @@ func (l *legalizer) legalWirelength() float64 {
 	for ci := range l.clusters {
 		x[ci], y[ci] = blockCenter(l.assign[ci])
 	}
-	return l.g.wirelength(x, y, l.alpha)
+	return l.g.wirelength(x, y)
 }
 
 // isLegal reports whether no block is over-utilized.

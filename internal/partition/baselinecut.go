@@ -95,7 +95,6 @@ func RandomBalanced(n *netlist.Netlist, numBlocks int, cfg Config, seed int64) (
 // resource-only tool would use. It is the ablation baseline for the
 // paper's 2.1× bandwidth-reduction claim.
 func NaiveContiguous(n *netlist.Netlist, numBlocks int, cfg Config) ([]int, error) {
-	cfg = cfg.withDefaults()
 	if cfg.BlockCapacity.IsZero() {
 		return nil, errors.New("partition: BlockCapacity not set")
 	}

@@ -44,22 +44,22 @@ func buildSpans(n *netlist.Netlist, clusterOf []int) []netSpan {
 // channelCounts computes per-block cut bandwidth in bits (ingress and
 // egress) for the current assignment: a cut net contributes its width to
 // every foreign block it enters and once to its driver block's egress.
-// Nets narrower than minWidth are sideband signals (enables, status bits):
-// the interface generator aggregates them into the shared control channel,
-// so they do not consume data-channel bandwidth.
-func channelCounts(spans []netSpan, assign []int, numBlocks, minWidth int) (in, out []int) {
+// Nets narrower than channelNetMinWidth are sideband signals (enables,
+// status bits): the interface generator aggregates them into the shared
+// control channel, so they do not consume data-channel bandwidth.
+func channelCounts(spans []netSpan, assign []int, numBlocks int) (in, out []int) {
 	in = make([]int, numBlocks)
 	out = make([]int, numBlocks)
 	for i := range spans {
-		spanContribution(&spans[i], assign, minWidth, in, out, +1)
+		spanContribution(&spans[i], assign, in, out, +1)
 	}
 	return in, out
 }
 
 // spanContribution adds (sign=+1) or removes (sign=-1) one span's cut
 // contribution to the per-block ingress/egress bit counts.
-func spanContribution(sp *netSpan, assign []int, minWidth int, in, out []int, sign int) {
-	if sp.width < minWidth {
+func spanContribution(sp *netSpan, assign []int, in, out []int, sign int) {
+	if sp.width < channelNetMinWidth {
 		return
 	}
 	db := assign[sp.driver]
@@ -90,15 +90,10 @@ func spanContribution(sp *netSpan, assign []int, minWidth int, in, out []int, si
 }
 
 // violations sums how far the per-block cut bandwidth exceeds the budget.
-func violations(in, out []int, maxIn, maxOut int) int {
+func violations(in, out []int) int {
 	v := 0
 	for b := range in {
-		if maxIn >= 0 && in[b] > maxIn {
-			v += in[b] - maxIn
-		}
-		if maxOut >= 0 && out[b] > maxOut {
-			v += out[b] - maxOut
-		}
+		v += max(in[b]-maxCutInBits, 0) + max(out[b]-maxCutOutBits, 0)
 	}
 	return v
 }
@@ -110,10 +105,7 @@ func violations(in, out []int, maxIn, maxOut int) int {
 // capacity; the pass stops when violations reach zero or no move helps.
 // Bookkeeping is incremental: only the spans incident to moved clusters are
 // re-evaluated.
-func (l *legalizer) repairChannels(spans []netSpan, maxIn, maxOut, minWidth, passes int) {
-	if maxIn < 0 && maxOut < 0 {
-		return
-	}
+func (l *legalizer) repairChannels(spans []netSpan, passes int) {
 	// Index spans by cluster for incremental updates.
 	clusterSpans := make([][]int, len(l.clusters))
 	for si := range spans {
@@ -121,8 +113,8 @@ func (l *legalizer) repairChannels(spans []netSpan, maxIn, maxOut, minWidth, pas
 			clusterSpans[c] = append(clusterSpans[c], si)
 		}
 	}
-	in, out := channelCounts(spans, l.assign, l.numBlock, minWidth)
-	cur := violations(in, out, maxIn, maxOut)
+	in, out := channelCounts(spans, l.assign, l.numBlock)
+	cur := violations(in, out)
 
 	order := make([]int, len(spans))
 	for i := range order {
@@ -134,7 +126,7 @@ func (l *legalizer) repairChannels(spans []netSpan, maxIn, maxOut, minWidth, pas
 		improved := false
 		for _, si := range order {
 			sp := &spans[si]
-			if sp.width < minWidth {
+			if sp.width < channelNetMinWidth {
 				continue
 			}
 			blocks := map[int]netlist.Resources{}
@@ -162,7 +154,7 @@ func (l *legalizer) repairChannels(spans []netSpan, maxIn, maxOut, minWidth, pas
 				return cands[a].block < cands[b].block
 			})
 			for _, target := range cands {
-				if newViol, ok := l.tryConsolidate(sp, target.block, spans, clusterSpans, minWidth, maxIn, maxOut, in, out, cur); ok {
+				if newViol, ok := l.tryConsolidate(sp, target.block, spans, clusterSpans, in, out, cur); ok {
 					cur = newViol
 					improved = true
 					break
@@ -183,7 +175,7 @@ func (l *legalizer) repairChannels(spans []netSpan, maxIn, maxOut, minWidth, pas
 // decrease. The in/out arrays are updated incrementally; on rejection the
 // move is fully reverted. It returns the new violation total and whether
 // the move was kept.
-func (l *legalizer) tryConsolidate(sp *netSpan, target int, spans []netSpan, clusterSpans [][]int, minWidth, maxIn, maxOut int, in, out []int, curViol int) (int, bool) {
+func (l *legalizer) tryConsolidate(sp *netSpan, target int, spans []netSpan, clusterSpans [][]int, in, out []int, curViol int) (int, bool) {
 	var movers []int
 	var need netlist.Resources
 	for _, c := range sp.clusters {
@@ -207,7 +199,7 @@ func (l *legalizer) tryConsolidate(sp *netSpan, target int, spans []netSpan, clu
 	}
 	apply := func(toBlocks []int) {
 		for si := range affected {
-			spanContribution(&spans[si], l.assign, minWidth, in, out, -1)
+			spanContribution(&spans[si], l.assign, in, out, -1)
 		}
 		for i, c := range movers {
 			from := l.assign[c]
@@ -216,7 +208,7 @@ func (l *legalizer) tryConsolidate(sp *netSpan, target int, spans []netSpan, clu
 			l.usage[toBlocks[i]] = l.usage[toBlocks[i]].Add(l.clusters[c].Res)
 		}
 		for si := range affected {
-			spanContribution(&spans[si], l.assign, minWidth, in, out, +1)
+			spanContribution(&spans[si], l.assign, in, out, +1)
 		}
 	}
 	prev := make([]int, len(movers))
@@ -226,7 +218,7 @@ func (l *legalizer) tryConsolidate(sp *netSpan, target int, spans []netSpan, clu
 		toTarget[i] = target
 	}
 	apply(toTarget)
-	if v := violations(in, out, maxIn, maxOut); v < curViol {
+	if v := violations(in, out); v < curViol {
 		return v, true
 	}
 	apply(prev)

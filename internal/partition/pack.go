@@ -15,7 +15,6 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
 
 	"vital/internal/netlist"
 )
@@ -32,16 +31,20 @@ type Cluster struct {
 
 // packConfig controls the greedy packing stage.
 type packConfig struct {
-	capacity  netlist.Resources // per-cluster capacity
-	maxFanout int               // adjacency fanout cap
-	seed      int64
-	mergeFrac float64 // clusters below this utilization get merged
+	capacity netlist.Resources // per-cluster capacity
+	seed     int64
 }
 
 // pack greedily clusters the netlist per Algorithm 1: start a cluster from
 // a random unpacked seed primitive, then repeatedly absorb the candidate
 // with the highest attraction score |S2|/|S1| (fraction of the candidate's
 // neighbours already in the cluster) until the cluster reaches capacity.
+//
+// §4.1 ends by merging small clusters into their neighbours. That step is
+// absent because it could never fire here: a cluster stops growing only
+// once every unpacked neighbour has been probed and found not to fit, and
+// resources only accumulate, so no two clusters joined by an adjacency
+// edge fit together in the cluster capacity — a merge has no partner.
 func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	packed := make([]int, n.NumCells())
@@ -139,70 +142,5 @@ func pack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 		clusters = append(clusters, cl)
 	}
 
-	return mergeSmall(n, adj, clusters, packed, cfg)
-}
-
-// mergeSmall folds under-filled clusters into their most-connected
-// neighbour cluster with room — the final step of §4.1 ("small clusters
-// are merged into other clusters to reduce the number of clusters").
-func mergeSmall(n *netlist.Netlist, adj [][]netlist.Edge, clusters []*Cluster, packed []int, cfg packConfig) []*Cluster {
-	// Order small clusters by size ascending so the smallest merge first.
-	idx := make([]int, 0, len(clusters))
-	for i, cl := range clusters {
-		if cl.Res.MaxRatio(cfg.capacity) < cfg.mergeFrac {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return len(clusters[idx[a]].Cells) < len(clusters[idx[b]].Cells)
-	})
-	alive := make([]bool, len(clusters))
-	for i := range alive {
-		alive[i] = true
-	}
-	for _, i := range idx {
-		cl := clusters[i]
-		if !alive[i] {
-			continue
-		}
-		// Find the most-connected other cluster that can absorb us.
-		conn := map[int]int{}
-		for _, c := range cl.Cells {
-			for _, e := range adj[c] {
-				o := packed[e.To]
-				if o != i && o >= 0 && alive[o] {
-					conn[o] += e.Weight
-				}
-			}
-		}
-		// Equal weights break to the lowest cluster index, so the choice
-		// does not depend on the map's iteration order.
-		best, bestW := -1, 0
-		for o, w := range conn {
-			better := w > bestW || (w == bestW && best >= 0 && o < best)
-			if better && cl.Res.Add(clusters[o].Res).FitsIn(cfg.capacity) {
-				best, bestW = o, w
-			}
-		}
-		if best == -1 {
-			continue
-		}
-		dst := clusters[best]
-		for _, c := range cl.Cells {
-			packed[c] = best
-		}
-		dst.Cells = append(dst.Cells, cl.Cells...)
-		dst.Res = dst.Res.Add(cl.Res)
-		dst.HasIO = dst.HasIO || cl.HasIO
-		alive[i] = false
-	}
-	// Compact.
-	out := make([]*Cluster, 0, len(clusters))
-	for i, cl := range clusters {
-		if alive[i] {
-			cl.ID = len(out)
-			out = append(out, cl)
-		}
-	}
-	return out
+	return clusters
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"vital/internal/hls"
@@ -13,7 +14,8 @@ import (
 
 // referencePack is the map-frontier packer pack replaced, kept as the
 // reference model: the same Algorithm 1 selection (highest inCluster /
-// degree, ties to the lowest cell ID) over a map instead of a dense list.
+// degree, ties to the lowest cell ID) over a map instead of a dense list,
+// followed by the small-cluster merge pack no longer runs.
 func referencePack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*Cluster {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	packed := make([]int, n.NumCells())
@@ -83,7 +85,66 @@ func referencePack(n *netlist.Netlist, adj [][]netlist.Edge, cfg packConfig) []*
 		}
 		clusters = append(clusters, cl)
 	}
-	return mergeSmall(n, adj, clusters, packed, cfg)
+
+	// §4.1's merge step, as the packer ran it before it was dropped:
+	// fold clusters under a quarter full, smallest first, into their
+	// most-connected neighbour cluster with room (equal weights to the
+	// lowest cluster index). It never finds a pair, which is what lets
+	// TestPackMatchesReference compare pack without it to this model.
+	var small []int
+	for i, cl := range clusters {
+		if cl.Res.MaxRatio(cfg.capacity) < 0.25 {
+			small = append(small, i)
+		}
+	}
+	sort.Slice(small, func(a, b int) bool {
+		return len(clusters[small[a]].Cells) < len(clusters[small[b]].Cells)
+	})
+	alive := make([]bool, len(clusters))
+	for i := range alive {
+		alive[i] = true
+	}
+	for _, i := range small {
+		cl := clusters[i]
+		if !alive[i] {
+			continue
+		}
+		conn := map[int]int{}
+		for _, c := range cl.Cells {
+			for _, e := range adj[c] {
+				o := packed[e.To]
+				if o != i && o >= 0 && alive[o] {
+					conn[o] += e.Weight
+				}
+			}
+		}
+		best, bestW := -1, 0
+		for o, w := range conn {
+			better := w > bestW || (w == bestW && best >= 0 && o < best)
+			if better && cl.Res.Add(clusters[o].Res).FitsIn(cfg.capacity) {
+				best, bestW = o, w
+			}
+		}
+		if best == -1 {
+			continue
+		}
+		dst := clusters[best]
+		for _, c := range cl.Cells {
+			packed[c] = best
+		}
+		dst.Cells = append(dst.Cells, cl.Cells...)
+		dst.Res = dst.Res.Add(cl.Res)
+		dst.HasIO = dst.HasIO || cl.HasIO
+		alive[i] = false
+	}
+	out := make([]*Cluster, 0, len(clusters))
+	for i, cl := range clusters {
+		if alive[i] {
+			cl.ID = len(out)
+			out = append(out, cl)
+		}
+	}
+	return out
 }
 
 // sameClusters fails the test unless got and want agree cluster by
@@ -119,25 +180,67 @@ func randomPackNetlist(rng *rand.Rand, cells, nets int) *netlist.Netlist {
 	return n
 }
 
+// randomPackCase builds the seed'th random packing input: a netlist, its
+// capped adjacency and a packing configuration, under varied capacities,
+// fanout caps and seeds.
+func randomPackCase(seed int64) (*netlist.Netlist, [][]netlist.Edge, packConfig) {
+	rng := rand.New(rand.NewSource(seed))
+	n := randomPackNetlist(rng, 1+rng.Intn(400), rng.Intn(900))
+	adj := n.AdjacencyCapped(1+rng.Intn(64), rng.Intn(96))
+	cfg := packConfig{
+		capacity: netlist.Resources{
+			LUTs:   1 + rng.Intn(24),
+			DFFs:   1 + rng.Intn(24),
+			DSPs:   1 + rng.Intn(3),
+			BRAMKb: netlist.BRAMKb * (1 + rng.Intn(3)),
+		},
+		seed: seed,
+	}
+	return n, adj, cfg
+}
+
 // TestPackMatchesReference compares pack with the map-frontier reference
-// on seeded random netlists under varied capacities, fanout caps and
-// seeds.
+// on seeded random netlists.
 func TestPackMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := randomPackNetlist(rng, 1+rng.Intn(400), rng.Intn(900))
-		adj := n.AdjacencyCapped(1+rng.Intn(64), rng.Intn(96))
-		cfg := packConfig{
-			capacity: netlist.Resources{
-				LUTs:   1 + rng.Intn(24),
-				DFFs:   1 + rng.Intn(24),
-				DSPs:   1 + rng.Intn(3),
-				BRAMKb: netlist.BRAMKb * (1 + rng.Intn(3)),
-			},
-			seed:      seed,
-			mergeFrac: 0.25,
-		}
+		n, adj, cfg := randomPackCase(seed)
 		sameClusters(t, fmt.Sprintf("seed %d", seed), pack(n, adj, cfg), referencePack(n, adj, cfg))
+	}
+}
+
+// checkNoMergeablePair fails the test if two clusters joined by an edge
+// of adj fit together in capacity: the pair a small-cluster merge would
+// need, and which pack never leaves.
+func checkNoMergeablePair(t *testing.T, what string, adj [][]netlist.Edge, clusters []*Cluster, capacity netlist.Resources) {
+	t.Helper()
+	clusterOf := make([]int, len(adj))
+	for _, cl := range clusters {
+		for _, c := range cl.Cells {
+			clusterOf[c] = cl.ID
+		}
+	}
+	for c := range adj {
+		for _, e := range adj[c] {
+			a, b := clusters[clusterOf[c]], clusters[clusterOf[e.To]]
+			if a != b && a.Res.Add(b.Res).FitsIn(capacity) {
+				t.Fatalf("%s: adjacent clusters %d %+v and %d %+v fit together in %+v", what, a.ID, a.Res, b.ID, b.Res, capacity)
+			}
+		}
+	}
+}
+
+// TestPackLeavesNoMergeablePair pins the property that makes §4.1's merge
+// step dead: on TestPackMatchesReference's random netlists and on the
+// cold_compile designs, no two adjacent clusters fit together.
+func TestPackLeavesNoMergeablePair(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		n, adj, cfg := randomPackCase(seed)
+		checkNoMergeablePair(t, fmt.Sprintf("seed %d", seed), adj, pack(n, adj, cfg), cfg.capacity)
+	}
+	for _, name := range coldCompileDesigns {
+		n := synthDesign(t, name)
+		adj, cfg := packInputs(n, Config{BlockCapacity: blockCap, Seed: 11})
+		checkNoMergeablePair(t, name, adj, pack(n, adj, cfg), cfg.capacity)
 	}
 }
 
@@ -149,84 +252,37 @@ var coldCompileDesigns = []string{"lenet-S", "cifar10-S", "svhn-M", "alexnet-S",
 // the cold_compile designs under the configuration the compiler uses.
 func TestPackMatchesReferenceColdCompile(t *testing.T) {
 	for _, name := range coldCompileDesigns {
-		spec, err := workload.ParseSpec(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := hls.Synthesize(workload.BuildDesign(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		adj, cfg := packInputs(res.Netlist, Config{BlockCapacity: blockCap, Seed: 11}.withDefaults())
-		sameClusters(t, name, pack(res.Netlist, adj, cfg), referencePack(res.Netlist, adj, cfg))
+		n := synthDesign(t, name)
+		adj, cfg := packInputs(n, Config{BlockCapacity: blockCap, Seed: 11})
+		sameClusters(t, name, pack(n, adj, cfg), referencePack(n, adj, cfg))
 	}
+}
+
+// synthDesign synthesizes a Table 2 design given as "<benchmark>-<S|M|L>".
+func synthDesign(t testing.TB, name string) *netlist.Netlist {
+	t.Helper()
+	spec, err := workload.ParseSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := hls.Synthesize(workload.BuildDesign(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Netlist
 }
 
 // BenchmarkPack packs alexnet-M, the largest cold_compile design, with the
 // compiler's configuration. Synthesis and the adjacency are built once,
 // outside the timer.
 func BenchmarkPack(b *testing.B) {
-	spec, err := workload.ParseSpec("alexnet-M")
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := hls.Synthesize(workload.BuildDesign(spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	adj, cfg := packInputs(res.Netlist, Config{BlockCapacity: blockCap, Seed: 11}.withDefaults())
+	n := synthDesign(b, "alexnet-M")
+	adj, cfg := packInputs(n, Config{BlockCapacity: blockCap, Seed: 11})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		packSink = pack(res.Netlist, adj, cfg)
+		packSink = pack(n, adj, cfg)
 	}
 }
 
 var packSink []*Cluster
-
-// TestMergeSmallBreaksTiesByLowestCluster hands mergeSmall a singleton
-// cluster tied, by connection weight, to five clusters. Cluster 0 is full,
-// so the merge must land in cluster 1 — on every run, whatever the
-// iteration order of mergeSmall's connection map.
-//
-// pack itself never produces such a tie: its frontier probes every
-// unpacked neighbour, so two adjacent clusters it grows never fit together
-// and mergeSmall finds nothing to merge. The clusters are built by hand.
-func TestMergeSmallBreaksTiesByLowestCluster(t *testing.T) {
-	const neighbours = 5
-	cfg := packConfig{capacity: netlist.Resources{LUTs: 8}, mergeFrac: 0.25}
-	for run := 0; run < 50; run++ {
-		n := netlist.New("tie")
-		var clusters []*Cluster
-		var packed []int
-		addCluster := func(size int) *Cluster {
-			cl := &Cluster{ID: len(clusters)}
-			for i := 0; i < size; i++ {
-				c := n.AddCell(netlist.KindLUT, fmt.Sprintf("c%d.%d", cl.ID, i))
-				cl.Cells = append(cl.Cells, c)
-				cl.Res.AddCell(netlist.KindLUT)
-				packed = append(packed, cl.ID)
-			}
-			clusters = append(clusters, cl)
-			return cl
-		}
-		addCluster(8) // cluster 0: tied, but full
-		for i := 1; i < neighbours; i++ {
-			addCluster(3)
-		}
-		s := addCluster(1).Cells[0]
-		for _, cl := range clusters[:neighbours] {
-			t0 := n.AddNet(fmt.Sprintf("s-%d", cl.ID), 4)
-			n.SetDriver(t0, s)
-			n.AddSink(t0, cl.Cells[0])
-		}
-
-		out := mergeSmall(n, n.Adjacency(0), clusters, packed, cfg)
-		if len(out) != neighbours {
-			t.Fatalf("run %d: %d clusters after merging, want %d", run, len(out), neighbours)
-		}
-		if got := packed[s]; got != 1 {
-			t.Fatalf("run %d: singleton merged into cluster %d, want 1 (lowest index with room)", run, got)
-		}
-	}
-}

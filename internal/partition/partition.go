@@ -13,81 +13,46 @@ type Config struct {
 	// BlockCapacity is the resource capacity of one virtual block
 	// (Table 4 for the XCVU37P floorplan).
 	BlockCapacity netlist.Resources
-	// Alpha is the aspect-ratio weight α of Eq. 1/Eq. 3. Zero means 1.0.
-	Alpha float64
-	// MaxFanout caps net fanout for connectivity analysis (clock/reset
-	// trees carry no locality). Zero means 64.
-	MaxFanout int
-	// PackBoundaryWidth keeps the packing stage from growing clusters
-	// across nets at least this wide — wide buses are natural module
-	// interfaces. Zero means 128; negative disables the filter.
-	PackBoundaryWidth int
-	// ClusterShrink divides BlockCapacity to obtain the packing cluster
-	// capacity. Zero means 48 (≈48 clusters per full block).
-	ClusterShrink int
-	// GapTol terminates the anchored iteration when the relative gap
-	// between legalized and relaxed wirelength drops below it. Zero means
-	// the paper's 20%.
-	GapTol float64
-	// MaxIterations caps the step (2)/(3) iterations. Zero means 10.
-	MaxIterations int
-	// AnnealSweeps scales the annealing effort per legalization. Zero
-	// means 12.
-	AnnealSweeps int
-	// MaxCutInBits / MaxCutOutBits bound the total width of cut data nets
-	// entering/leaving one virtual block — the block's share of
-	// latency-insensitive channel bandwidth. Zero means 448; negative
-	// disables the check.
-	MaxCutInBits  int
-	MaxCutOutBits int
-	// ChannelNetMinWidth is the width below which a cut net is treated as
-	// a sideband signal aggregated into the shared control channel rather
-	// than consuming data-channel bandwidth. Zero means 32; negative
-	// counts every net.
-	ChannelNetMinWidth int
 	// Seed drives all stochastic stages.
 	Seed int64
-	// Restarts retries with a reseeded annealer when a block count
-	// appears infeasible. Zero means 2.
-	Restarts int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Alpha == 0 {
-		c.Alpha = 1
-	}
-	if c.MaxFanout == 0 {
-		c.MaxFanout = 64
-	}
-	if c.PackBoundaryWidth == 0 {
-		c.PackBoundaryWidth = 128
-	}
-	if c.ClusterShrink == 0 {
-		c.ClusterShrink = 48
-	}
-	if c.GapTol == 0 {
-		c.GapTol = 0.20
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 10
-	}
-	if c.AnnealSweeps == 0 {
-		c.AnnealSweeps = 12
-	}
-	if c.MaxCutInBits == 0 {
-		c.MaxCutInBits = 448
-	}
-	if c.MaxCutOutBits == 0 {
-		c.MaxCutOutBits = 448
-	}
-	if c.ChannelNetMinWidth == 0 {
-		c.ChannelNetMinWidth = 32
-	}
-	if c.Restarts == 0 {
-		c.Restarts = 2
-	}
-	return c
-}
+// The partitioner's fixed tuning. Every caller runs it with these values,
+// so they are constants rather than options.
+const (
+	// alpha is the aspect-ratio weight α of Eq. 1/Eq. 3.
+	alpha = 1.0
+	// maxFanout caps net fanout for connectivity analysis (clock/reset
+	// trees carry no locality).
+	maxFanout = 64
+	// packBoundaryWidth keeps the packing stage from growing clusters
+	// across nets at least this wide — wide buses are natural module
+	// interfaces.
+	packBoundaryWidth = 128
+	// clusterShrink divides BlockCapacity to obtain the packing cluster
+	// capacity (≈48 clusters per full block).
+	clusterShrink = 48
+	// gapTol terminates the anchored iteration when the relative gap
+	// between legalized and relaxed wirelength drops below it: the
+	// paper's 20%.
+	gapTol = 0.20
+	// maxIterations caps the step (2)/(3) iterations.
+	maxIterations = 10
+	// annealSweeps scales the annealing effort per legalization.
+	annealSweeps = 12
+	// maxCutInBits / maxCutOutBits bound the total width of cut data nets
+	// entering/leaving one virtual block — the block's share of
+	// latency-insensitive channel bandwidth.
+	maxCutInBits  = 448
+	maxCutOutBits = 448
+	// channelNetMinWidth is the width below which a cut net is treated as
+	// a sideband signal aggregated into the shared control channel rather
+	// than consuming data-channel bandwidth.
+	channelNetMinWidth = 32
+	// restarts is how many reseeded annealer runs Auto tries before it
+	// gives up on a block count.
+	restarts = 2
+)
 
 // Result is a complete partition of a netlist into virtual blocks.
 type Result struct {
@@ -138,7 +103,6 @@ type prepared struct {
 
 // prepare runs packing and connectivity projection once.
 func prepare(n *netlist.Netlist, cfg Config) (*prepared, error) {
-	cfg = cfg.withDefaults()
 	if cfg.BlockCapacity.IsZero() {
 		return nil, errors.New("partition: BlockCapacity not set")
 	}
@@ -155,26 +119,21 @@ func prepare(n *netlist.Netlist, cfg Config) (*prepared, error) {
 		cfg:       cfg,
 		clusters:  clusters,
 		clusterOf: clusterOf,
-		g:         buildClusterGraph(n, clusterOf, len(clusters), cfg.MaxFanout),
+		g:         buildClusterGraph(n, clusterOf, len(clusters)),
 		spans:     buildSpans(n, clusterOf),
 	}, nil
 }
 
 // packInputs returns the capped adjacency and the configuration packing
-// runs with under cfg (already defaulted).
+// runs with under cfg.
 func packInputs(n *netlist.Netlist, cfg Config) ([][]netlist.Edge, packConfig) {
 	clusterCap := netlist.Resources{
-		LUTs:   max(cfg.BlockCapacity.LUTs/cfg.ClusterShrink, 1),
-		DFFs:   max(cfg.BlockCapacity.DFFs/cfg.ClusterShrink, 1),
-		DSPs:   max(cfg.BlockCapacity.DSPs/cfg.ClusterShrink, 1),
-		BRAMKb: max(cfg.BlockCapacity.BRAMKb/cfg.ClusterShrink, netlist.BRAMKb),
+		LUTs:   max(cfg.BlockCapacity.LUTs/clusterShrink, 1),
+		DFFs:   max(cfg.BlockCapacity.DFFs/clusterShrink, 1),
+		DSPs:   max(cfg.BlockCapacity.DSPs/clusterShrink, 1),
+		BRAMKb: max(cfg.BlockCapacity.BRAMKb/clusterShrink, netlist.BRAMKb),
 	}
-	return n.AdjacencyCapped(cfg.MaxFanout, cfg.PackBoundaryWidth), packConfig{
-		capacity:  clusterCap,
-		maxFanout: cfg.MaxFanout,
-		seed:      cfg.Seed,
-		mergeFrac: 0.25,
-	}
+	return n.AdjacencyCapped(maxFanout, packBoundaryWidth), packConfig{capacity: clusterCap, seed: cfg.Seed}
 }
 
 // Partition splits the netlist into exactly numBlocks virtual blocks using
@@ -234,20 +193,20 @@ func (p *prepared) partition(numBlocks int, seed int64) (*Result, error) {
 	// Infeasible block counts rarely become feasible after the first few
 	// anchored iterations; cap the effort spent proving infeasibility.
 	const infeasibleIterCap = 3
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
+	for iter := 1; iter <= maxIterations; iter++ {
 		res.Iterations = iter
 		// Step (2): legalize onto blocks and refine. The channel-repair
 		// pass consolidates narrow cut nets so blocks stay within their
 		// latency-insensitive bandwidth budget.
-		leg := newLegalizer(clusters, g, numBlocks, cfg.BlockCapacity, cfg.Alpha, x, y, rng)
-		if _, ran := leg.anneal(cfg.AnnealSweeps); ran {
+		leg := newLegalizer(clusters, g, numBlocks, cfg.BlockCapacity, x, y, rng)
+		if _, ran := leg.anneal(annealSweeps); ran {
 			res.Stochastic = true
 		}
 		leg.refine(4)
-		leg.repairChannels(p.spans, cfg.MaxCutInBits, cfg.MaxCutOutBits, cfg.ChannelNetMinWidth, 6)
+		leg.repairChannels(p.spans, 6)
 		legalWL := leg.legalWirelength()
-		cin, cout := channelCounts(p.spans, leg.assign, numBlocks, cfg.ChannelNetMinWidth)
-		feasible := leg.isLegal() && violations(cin, cout, cfg.MaxCutInBits, cfg.MaxCutOutBits) == 0
+		cin, cout := channelCounts(p.spans, leg.assign, numBlocks)
+		feasible := leg.isLegal() && violations(cin, cout) == 0
 		better := best == nil ||
 			(feasible && !bestFeasible) ||
 			(feasible == bestFeasible && legalWL < bestWL)
@@ -270,12 +229,12 @@ func (p *prepared) partition(numBlocks int, seed int64) (*Result, error) {
 		if err := quadraticSolve(g, x, y, anchorX, anchorY, beta, ioAnchors, 1.0); err != nil {
 			return nil, err
 		}
-		relaxedWL := g.wirelength(x, y, cfg.Alpha)
+		relaxedWL := g.wirelength(x, y)
 		if legalWL == 0 {
 			break // nothing cut at all: done
 		}
 		gap := (legalWL - relaxedWL) / legalWL
-		if gap < cfg.GapTol && bestFeasible {
+		if gap < gapTol && bestFeasible {
 			break
 		}
 		if !bestFeasible && iter >= infeasibleIterCap {
@@ -285,10 +244,10 @@ func (p *prepared) partition(numBlocks int, seed int64) (*Result, error) {
 	if best == nil {
 		// No legal assignment found; report the last attempt for
 		// diagnostics.
-		best = newLegalizer(clusters, g, numBlocks, cfg.BlockCapacity, cfg.Alpha, x, y, rng)
-		_, _ = best.anneal(cfg.AnnealSweeps * 2)
+		best = newLegalizer(clusters, g, numBlocks, cfg.BlockCapacity, x, y, rng)
+		_, _ = best.anneal(annealSweeps * 2)
 		best.refine(4)
-		best.repairChannels(p.spans, cfg.MaxCutInBits, cfg.MaxCutOutBits, cfg.ChannelNetMinWidth, 6)
+		best.repairChannels(p.spans, 6)
 	}
 	p.finalize(res, best)
 	return res, nil
@@ -306,7 +265,7 @@ func maxDegIdx(g *clusterGraph) int {
 
 // finalize converts the legalizer state into the public result.
 func (p *prepared) finalize(res *Result, leg *legalizer) {
-	n, cfg := p.n, p.cfg
+	n := p.n
 	res.BlockOf = leg.assign
 	res.Usage = leg.usage
 	res.Legal = leg.isLegal()
@@ -315,8 +274,8 @@ func (p *prepared) finalize(res *Result, leg *legalizer) {
 		res.CellBlock[c] = leg.assign[res.ClusterOf[c]]
 	}
 	res.CutWidth = n.CutWidth(res.CellBlock)
-	res.PerBlockInBits, res.PerBlockOutBits = channelCounts(p.spans, leg.assign, res.NumBlocks, cfg.ChannelNetMinWidth)
-	res.ChannelsOK = violations(res.PerBlockInBits, res.PerBlockOutBits, cfg.MaxCutInBits, cfg.MaxCutOutBits) == 0
+	res.PerBlockInBits, res.PerBlockOutBits = channelCounts(p.spans, leg.assign, res.NumBlocks)
+	res.ChannelsOK = violations(res.PerBlockInBits, res.PerBlockOutBits) == 0
 }
 
 // Auto finds the smallest feasible virtual-block count: it starts from the
@@ -337,7 +296,7 @@ func Auto(n *netlist.Netlist, cfg Config, maxBlocks int) (*Result, error) {
 		lb = 1
 	}
 	for k := lb; k <= maxBlocks; k++ {
-		for r := 0; r < cfg.Restarts; r++ {
+		for r := 0; r < restarts; r++ {
 			res, err := p.partition(k, cfg.Seed+int64(r)*7919)
 			if err != nil {
 				return nil, err

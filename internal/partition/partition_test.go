@@ -161,7 +161,7 @@ func TestPackRespectsClusterCapacity(t *testing.T) {
 	n := synthSpec(t, "lenet", workload.Small)
 	adj := n.Adjacency(64)
 	capacity := netlist.Resources{LUTs: 100, DFFs: 200, DSPs: 2, BRAMKb: 72}
-	clusters := pack(n, adj, packConfig{capacity: capacity, maxFanout: 64, seed: 9, mergeFrac: 0.25})
+	clusters := pack(n, adj, packConfig{capacity: capacity, seed: 9})
 	seen := make([]bool, n.NumCells())
 	for _, cl := range clusters {
 		if !cl.Res.FitsIn(capacity) {
@@ -212,7 +212,7 @@ func TestAutoInfeasibleReportsError(t *testing.T) {
 	// A design whose single net web exceeds any channel budget at >1 block
 	// but is too big for 1 block: impossible within maxBlocks=1.
 	n := synthSpec(t, "vgg16", workload.Large)
-	_, err := Auto(n, Config{BlockCapacity: blockCap, Seed: 1, AnnealSweeps: 2, MaxIterations: 2}, 1)
+	_, err := Auto(n, Config{BlockCapacity: blockCap, Seed: 1}, 1)
 	if err == nil {
 		t.Fatal("expected infeasibility error with maxBlocks=1")
 	}
@@ -249,7 +249,7 @@ func TestQuickAutoInvariantsOnRandomDesigns(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := synth.Netlist
-		res, err := Auto(n, Config{BlockCapacity: blockCap, Seed: rngSeed, AnnealSweeps: 4, MaxIterations: 4}, 12)
+		res, err := Auto(n, Config{BlockCapacity: blockCap, Seed: rngSeed}, 12)
 		if err != nil {
 			if !errors.Is(err, ErrNoFeasiblePartition) {
 				t.Fatalf("trial %d: unexpected error %v", trial, err)

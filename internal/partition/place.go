@@ -18,14 +18,14 @@ type clusterGraph struct {
 }
 
 // buildClusterGraph projects the netlist connectivity onto clusters.
-func buildClusterGraph(n *netlist.Netlist, clusterOf []int, numClusters, maxFanout int) *clusterGraph {
+func buildClusterGraph(n *netlist.Netlist, clusterOf []int, numClusters int) *clusterGraph {
 	g := &clusterGraph{n: numClusters, edges: map[[2]int]float64{}, deg: make([]float64, numClusters)}
 	for i := range n.Nets {
 		t := &n.Nets[i]
 		if t.Driver == netlist.NoCell {
 			continue
 		}
-		if maxFanout > 0 && len(t.Sinks) > maxFanout {
+		if len(t.Sinks) > maxFanout {
 			continue
 		}
 		a := clusterOf[t.Driver]
@@ -73,7 +73,7 @@ func (g *clusterGraph) sortedEdges() []edge {
 }
 
 // wirelength evaluates Eq. 1: L = Σ w_ij [α (x_i−x_j)² + (y_i−y_j)²].
-func (g *clusterGraph) wirelength(x, y []float64, alpha float64) float64 {
+func (g *clusterGraph) wirelength(x, y []float64) float64 {
 	L := 0.0
 	for _, e := range g.sortedEdges() {
 		dx := x[e.lo] - x[e.hi]

@@ -77,13 +77,11 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 	if g.gScore == nil {
 		g.gScore = make([]float64, g.w*g.h)
 		g.cameFrom = make([]edgeRef, g.w*g.h)
-		g.hasFrom = make([]bool, g.w*g.h)
 	}
-	gScore, cameFrom, hasFrom := g.gScore, g.cameFrom, g.hasFrom
+	gScore, cameFrom := g.gScore, g.cameFrom
 	for i := range gScore {
 		gScore[i] = math.Inf(1)
 	}
-	clear(hasFrom)
 	heur := func(x, y int) float64 {
 		return math.Abs(float64(x-x1)) + math.Abs(float64(y-y1))
 	}
@@ -106,14 +104,13 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 	for open.Len() > 0 {
 		cur := heap.Pop(open).(*mazeNode)
 		if cur.x == x1 && cur.y == y1 {
-			// Reconstruct.
+			// Reconstruct. Every node on the way back was reached in
+			// this search, so its cameFrom is this search's: a stale
+			// entry from an earlier search is never read.
 			var path []edgeRef
 			x, y := x1, y1
 			for x != x0 || y != y0 {
 				e := cameFrom[idx(x, y)]
-				if !hasFrom[idx(x, y)] {
-					break
-				}
 				path = append(path, e)
 				// Walk back across e.
 				if e.horiz {
@@ -145,7 +142,6 @@ func (g *edgeGrid) mazeRoute(x0, y0, x1, y1, bits, capacity int) []edgeRef {
 			if ng < gScore[idx(nx, ny)] {
 				gScore[idx(nx, ny)] = ng
 				cameFrom[idx(nx, ny)] = e
-				hasFrom[idx(nx, ny)] = true
 				heap.Push(open, &mazeNode{x: nx, y: ny, g: ng, f: ng + heur(nx, ny)})
 			}
 		}

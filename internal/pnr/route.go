@@ -50,11 +50,11 @@ type edgeGrid struct {
 	vert  []int // w × (h-1) edges: (x,y)→(x,y+1) at x*(h-1)+y
 
 	// mazeRoute's per-node search state (w × h, at x*h+y), allocated by
-	// the first search and reset by each one after it. A grid lives for
-	// one RouteBlock call, so the scratch dies with it.
+	// the first search; each search resets gScore, and overwrites the
+	// cameFrom of every node it reaches. A grid lives for one RouteBlock
+	// call, so the scratch dies with it.
 	gScore   []float64
 	cameFrom []edgeRef
-	hasFrom  []bool
 }
 
 func newEdgeGrid(w, h int) *edgeGrid {
