@@ -55,15 +55,15 @@ type compileGolden struct {
 }
 
 func compileGoldenOf(s *Stack, d *hls.Design, app *CompiledApp) compileGolden {
-	n := app.Netlist
+	tools := app.Intermediates
 	g := compileGolden{
 		Design:          app.Name,
 		DesignKey:       DesignKey(d, s.CompileParams()).String(),
-		NetlistSHA256:   netlistDigest(n),
-		NumBlocks:       app.Partition.NumBlocks,
-		CutWidth:        app.Partition.CutWidth,
-		PerBlockInBits:  app.Partition.PerBlockInBits,
-		PerBlockOutBits: app.Partition.PerBlockOutBits,
+		NetlistSHA256:   netlistDigest(tools.Netlist),
+		NumBlocks:       tools.Partition.NumBlocks,
+		CutWidth:        tools.Partition.CutWidth,
+		PerBlockInBits:  tools.Partition.PerBlockInBits,
+		PerBlockOutBits: tools.Partition.PerBlockOutBits,
 		Channels:        len(app.Channels),
 		FminMHz:         strconv.FormatFloat(app.FminMHz, 'g', -1, 64),
 	}
@@ -77,7 +77,7 @@ func compileGoldenOf(s *Stack, d *hls.Design, app *CompiledApp) compileGolden {
 		g.FramesSHA256 = append(g.FramesSHA256, hex.EncodeToString(h.Sum(nil)))
 	}
 	sites := sha256.New()
-	for _, br := range app.BlockResults {
+	for _, br := range tools.BlockResults {
 		g.WirelengthUnits = append(g.WirelengthUnits, br.Routing.WirelengthUnits)
 		g.OverflowEdges = append(g.OverflowEdges, br.Routing.OverflowEdges)
 		g.MazeRouted = append(g.MazeRouted, br.Routing.MazeRouted)

@@ -35,7 +35,9 @@ var (
 // repeat of the same *design* under a new name is served from the
 // controller's content-addressed compile cache — a hash, a lookup, and a
 // rebranding clone. Re-binding an existing name to a structurally
-// different design fails with ErrDesignConflict.
+// different design fails with ErrDesignConflict. The registry keeps, and
+// every call returns, the served part of the compile only: no netlist,
+// partition or P&R result outlives the compile that made it.
 func (s *Stack) CompileSpec(ctx context.Context, design, appName string) (*CompiledApp, error) {
 	spec, err := workload.ParseSpec(design)
 	if err != nil {
@@ -58,10 +60,11 @@ func (s *Stack) CompileSpec(ctx context.Context, design, appName string) (*Compi
 	}
 	s.mu.Unlock()
 
-	app, err := s.compile(ctx, d, dkey, CompileOptions{})
+	compiled, err := s.compile(ctx, d, dkey, CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
+	app := compiled.cloneFor(appName)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -142,19 +142,17 @@ type ChannelSpec struct {
 }
 
 // CompiledApp is an application after the offline compilation flow:
-// position-independent virtual blocks ready for runtime placement.
+// position-independent virtual blocks ready for runtime placement. Its
+// fields are what serving reads — the images, the interface, the timing
+// and the compile's cost. The tools' own outputs ride along only on the
+// value returned by the compile that ran them (Intermediates); cache
+// entries, cache hits and registered apps do not keep them.
 type CompiledApp struct {
-	Name      string
-	Netlist   *netlist.Netlist
-	Partition *partition.Result
-	// BlockResults holds each virtual block's local P&R result.
-	BlockResults []*pnr.BlockResult
+	Name string
 	// Channels is the generated latency-insensitive interface.
 	Channels []ChannelSpec
 	// Bitstreams holds one relocatable image per virtual block.
 	Bitstreams []*bitstream.Bitstream
-	// Global is the stitched design.
-	Global *pnr.GlobalResult
 	// Times is the Fig. 8 stage breakdown; FminMHz the worst block Fmax.
 	Times   StageTimes
 	FminMHz float64
@@ -163,10 +161,25 @@ type CompiledApp struct {
 	// were served from the controller's compile cache.
 	Wall     time.Duration
 	CacheHit bool
+	// Intermediates holds the tools' outputs of a compile that ran them;
+	// nil on everything else.
+	Intermediates *Intermediates
+
+	numBlocks int
+}
+
+// Intermediates are the outputs of the Fig. 5 tools that only the flow
+// itself and its inspectors (golden tests, vitalcompile) read: the
+// synthesized netlist, the partition and each virtual block's local P&R.
+type Intermediates struct {
+	Netlist   *netlist.Netlist
+	Partition *partition.Result
+	// BlockResults holds each virtual block's local P&R result.
+	BlockResults []*pnr.BlockResult
 }
 
 // Blocks returns the number of virtual blocks.
-func (a *CompiledApp) Blocks() int { return a.Partition.NumBlocks }
+func (a *CompiledApp) Blocks() int { return a.numBlocks }
 
 // partitionSeed drives the partitioner's stochastic stages; it is fixed so
 // compiles are reproducible, and it is part of the compile cache key.
@@ -232,7 +245,8 @@ func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheK
 			"End-to-end compile wall time by cache outcome.", nil,
 			telemetry.L("cache", result)).ObserveExemplar(time.Since(wallStart).Seconds(), traceID)
 	}()
-	app := &CompiledApp{Name: d.Name}
+	app := &CompiledApp{Name: d.Name, Intermediates: &Intermediates{}}
+	tools := app.Intermediates
 
 	cache := s.Controller.Cache
 	useCache := cache != nil && !opts.NoCache
@@ -255,13 +269,13 @@ func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheK
 	if err != nil {
 		return nil, fmt.Errorf("core: synthesis of %s: %w", d.Name, err)
 	}
-	app.Netlist = synth.Netlist
+	tools.Netlist = synth.Netlist
 	app.Times.Synthesis = time.Since(t0)
 
 	// Step 2 — partition (custom tool, Section 4).
 	t0 = time.Now()
 	ssp = sp.Child("partition")
-	part, err := partition.Auto(app.Netlist, partition.Config{
+	part, err := partition.Auto(tools.Netlist, partition.Config{
 		BlockCapacity: s.BlockCapacity,
 		Seed:          partitionSeed,
 	}, s.MaxBlocksPerApp)
@@ -270,13 +284,14 @@ func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheK
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning %s: %w", d.Name, err)
 	}
-	app.Partition = part
+	tools.Partition = part
+	app.numBlocks = part.NumBlocks
 	app.Times.Partition = time.Since(t0)
 
 	// Step 3 — latency-insensitive interface generation (custom tool).
 	t0 = time.Now()
 	ssp = sp.Child("interface_gen")
-	app.Channels = generateInterface(app.Netlist, part)
+	app.Channels = generateInterface(tools.Netlist, part)
 	ssp.End()
 	s.stageHist("interface_gen").ObserveSince(t0)
 	app.Times.InterfaceGen = time.Since(t0)
@@ -289,14 +304,14 @@ func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheK
 	t0 = time.Now()
 	ssp = sp.Child("local_pnr", telemetry.Int("blocks", part.NumBlocks))
 	blocks, err := pnr.LocalPlaceAndRouteOpts(telemetry.ContextWithSpan(ctx, ssp),
-		app.Netlist, part.CellBlock, part.NumBlocks, s.Grid,
+		tools.Netlist, part.CellBlock, part.NumBlocks, s.Grid,
 		pnr.LocalPNROptions{Workers: opts.Workers})
 	ssp.End()
 	s.stageHist("local_pnr").ObserveSince(t0)
 	if err != nil {
 		return nil, fmt.Errorf("core: local P&R of %s: %w", d.Name, err)
 	}
-	app.BlockResults = blocks
+	tools.BlockResults = blocks
 	app.FminMHz = blocks[0].Timing.FmaxMHz
 	for _, b := range blocks {
 		app.Times.LocalPNR += b.Elapsed
@@ -342,10 +357,12 @@ func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheK
 		app.Times.Relocation += e
 	}
 
-	// Step 6 — global place-and-route (reused commercial back end).
+	// Step 6 — global place-and-route (reused commercial back end). It
+	// runs for its Fig. 8 time; serving reads the stitched channels from
+	// the step-3 interface, so the result is not kept.
 	t0 = time.Now()
 	ssp = sp.Child("global_pnr")
-	app.Global = pnr.GlobalPlaceAndRoute(app.Netlist, part.CellBlock, part.NumBlocks)
+	pnr.GlobalPlaceAndRoute(tools.Netlist, part.CellBlock, part.NumBlocks)
 	ssp.End()
 	s.stageHist("global_pnr").ObserveSince(t0)
 	app.Times.GlobalPNR = time.Since(t0)
@@ -357,8 +374,9 @@ func (s *Stack) compile(ctx context.Context, d *hls.Design, key bitstream.CacheK
 	}
 	s.Controller.Bitstreams.StoreChannels(d.Name, blockEdges(app.Channels))
 	if useCache {
-		// Cache a private clone: entries are shared across tenants and
-		// treated as immutable, so the caller's app must not alias them.
+		// Cache a private clone of the served part: entries are shared
+		// across tenants and treated as immutable, so the caller's app
+		// must not alias them, and they pin no tool output.
 		cache.Put(key, app.cloneFor(app.Name))
 	}
 	ssp.End()
@@ -376,9 +394,8 @@ func (s *Stack) stageHist(stage string) *telemetry.Histogram {
 
 // serveCacheHit turns a cache entry into this tenant's compiled app: a
 // rebranding clone (frames shared, never copied) registered with the
-// bitstream database. The entry's netlist is shared read-only — its net
-// names carry the original tenant's design name, which is cosmetic.
-// Times is zeroed: no tool ran; Wall records what the hit actually cost.
+// bitstream database. Times is zeroed: no tool ran; Wall records what the
+// hit actually cost.
 func (s *Stack) serveCacheHit(entry *CompiledApp, name string, wallStart time.Time) (*CompiledApp, error) {
 	hit := entry.cloneFor(name)
 	hit.Times = StageTimes{}
@@ -403,14 +420,14 @@ func blockEdges(specs []ChannelSpec) []bitstream.BlockEdge {
 	return edges
 }
 
-// cloneFor copies the compiled artifacts under a new application name:
-// top-level slices are fresh, bitstreams are rebranded (frames shared —
-// the payload never encodes the name), and the deep structures
-// (partition, block results, global result) are shared read-only.
+// cloneFor copies the served part of the compiled artifacts under a new
+// application name: top-level slices are fresh, bitstreams are rebranded
+// (frames shared — the payload never encodes the name), and the tools'
+// intermediates are left behind.
 func (a *CompiledApp) cloneFor(name string) *CompiledApp {
 	c := *a
 	c.Name = name
-	c.BlockResults = append([]*pnr.BlockResult(nil), a.BlockResults...)
+	c.Intermediates = nil
 	c.Channels = append([]ChannelSpec(nil), a.Channels...)
 	c.Bitstreams = make([]*bitstream.Bitstream, len(a.Bitstreams))
 	for i, b := range a.Bitstreams {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -176,5 +177,36 @@ func TestCompileTraceCacheHit(t *testing.T) {
 	}
 	if !sawLookup {
 		t.Fatal("no cache.lookup span in cache-hit trace")
+	}
+}
+
+// TestCompileTraceCountsUnconvergedSolves: every pnr.block span carries its
+// block's count of placer solves that stopped at the iteration cap. nin-M
+// is a design where some do (blocks 1 and 2), so a dropped count shows.
+func TestCompileTraceCountsUnconvergedSolves(t *testing.T) {
+	s := NewStack(nil)
+	defer s.Controller.Close()
+	app, td := compileTraced(t, s, "nin-M", CompileOptions{})
+	want := map[string]string{}
+	total := 0
+	for _, br := range app.Intermediates.BlockResults {
+		want[strconv.Itoa(br.Block)] = strconv.Itoa(br.UnconvergedSolves)
+		total += br.UnconvergedSolves
+	}
+	if total == 0 {
+		t.Fatal("nin-M counted no unconverged placer solve; it stops three at the iteration cap")
+	}
+	seen := 0
+	for _, sp := range td.AllSpans {
+		if sp.Name != "pnr.block" {
+			continue
+		}
+		seen++
+		if got := sp.Attrs["unconverged_solves"]; got != want[sp.Attrs["block"]] {
+			t.Fatalf("pnr.block %s span: unconverged_solves = %q, BlockResult says %s", sp.Attrs["block"], got, want[sp.Attrs["block"]])
+		}
+	}
+	if seen != app.Blocks() {
+		t.Fatalf("%d pnr.block spans, want %d", seen, app.Blocks())
 	}
 }

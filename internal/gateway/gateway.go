@@ -458,6 +458,13 @@ func (g *Gateway) proxyGET(w http.ResponseWriter, r *http.Request, path string) 
 	copyResponse(w, resp)
 }
 
+// relayBufs holds the buffers copyResponse relays backend bodies through,
+// so a relayed poll, execute or undeploy does not allocate io.Copy's
+// fresh 32 KiB buffer.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// copyResponse relays the backend's status, content type, Retry-After and
+// body to w.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -466,7 +473,10 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	buf := relayBufs.Get().(*[32 << 10]byte)
+	defer relayBufs.Put(buf)
+	// Hiding w's ReadFrom and the body's WriteTo makes CopyBuffer use buf.
+	_, _ = io.CopyBuffer(struct{ io.Writer }{w}, struct{ io.Reader }{resp.Body}, buf[:])
 }
 
 // Handler returns the gateway's HTTP surface.

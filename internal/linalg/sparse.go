@@ -138,6 +138,50 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (int, error) {
 	if len(x) != m.N || len(b) != m.N {
 		return 0, fmt.Errorf("linalg: SolveCG dimension mismatch: n=%d len(x)=%d len(b)=%d", m.N, len(x), len(b))
 	}
+	s := [1]cgSolve{{x: x, b: b}}
+	if err := solveCG(m, s[:], opt); err != nil {
+		return 0, err
+	}
+	return s[0].iters, s[0].err
+}
+
+// SolveCG2 solves m·x = bx and m·y = by in lockstep: one pass over m per
+// iteration serves both right-hand sides, for as long as both are still
+// iterating. Each solve's arithmetic is exactly SolveCG's, so x and y come
+// out bit for bit as two SolveCG calls leave them, with the same iteration
+// counts and errors.
+func SolveCG2(m *CSR, x, bx, y, by []float64, opt CGOptions) (iters [2]int, errs [2]error) {
+	if len(x) != m.N || len(bx) != m.N || len(y) != m.N || len(by) != m.N {
+		err := fmt.Errorf("linalg: SolveCG2 dimension mismatch: n=%d len(x)=%d len(bx)=%d len(y)=%d len(by)=%d",
+			m.N, len(x), len(bx), len(y), len(by))
+		return iters, [2]error{err, err}
+	}
+	s := [2]cgSolve{{x: x, b: bx}, {x: y, b: by}}
+	if err := solveCG(m, s[:], opt); err != nil {
+		return iters, [2]error{err, err}
+	}
+	return [2]int{s[0].iters, s[1].iters}, [2]error{s[0].err, s[1].err}
+}
+
+// cgSolve is one right-hand side of a conjugate-gradient run: the iterate
+// x, the right-hand side b, the CG vectors, and the outcome (iters, err)
+// once done is set.
+type cgSolve struct {
+	x, b        []float64
+	r, z, p, ap []float64
+	rz, normB   float64
+	iters       int
+	err         error
+	done        bool
+}
+
+// solveCG runs Jacobi-preconditioned CG on every solve in ss over the one
+// matrix m, in lockstep: each iteration multiplies m by the search
+// direction of every solve still running in one pass over the rows. A
+// solve that converges or fails stops there while the others go on. The
+// returned error is about m itself (not SPD on the diagonal); per-solve
+// outcomes land in each cgSolve.
+func solveCG(m *CSR, ss []cgSolve, opt CGOptions) error {
 	tol := opt.Tol
 	if tol == 0 {
 		tol = 1e-8
@@ -152,66 +196,121 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (int, error) {
 		if d <= 0 {
 			// Anchored placement matrices are strictly diagonally dominant;
 			// a non-positive diagonal means an unanchored free variable.
-			return 0, fmt.Errorf("linalg: non-positive diagonal at row %d (%g): matrix not SPD", i, d)
+			return fmt.Errorf("linalg: non-positive diagonal at row %d (%g): matrix not SPD", i, d)
 		}
 		inv[i] = 1 / d
 	}
 
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	m.MulVec(ap, x)
-	normB := 0.0
-	for i := 0; i < n; i++ {
-		r[i] = b[i] - ap[i]
-		normB += b[i] * b[i]
-	}
-	normB = math.Sqrt(normB)
-	if normB == 0 {
-		for i := range x {
-			x[i] = 0
+	for k := range ss {
+		s := &ss[k]
+		s.r = make([]float64, n)
+		s.z = make([]float64, n)
+		s.p = make([]float64, n)
+		s.ap = make([]float64, n)
+		m.MulVec(s.ap, s.x)
+		for i := 0; i < n; i++ {
+			s.r[i] = s.b[i] - s.ap[i]
+			s.normB += s.b[i] * s.b[i]
 		}
-		return 0, nil
+		s.normB = math.Sqrt(s.normB)
+		if s.normB == 0 {
+			for i := range s.x {
+				s.x[i] = 0
+			}
+			s.done = true
+			continue
+		}
+		for i := 0; i < n; i++ {
+			s.z[i] = inv[i] * s.r[i]
+			s.p[i] = s.z[i]
+			s.rz += s.r[i] * s.z[i]
+		}
 	}
-	rz := 0.0
-	for i := 0; i < n; i++ {
-		z[i] = inv[i] * r[i]
-		p[i] = z[i]
-		rz += r[i] * z[i]
-	}
+	var live [2]*cgSolve
 	for iter := 1; iter <= maxIter; iter++ {
-		m.MulVec(ap, p)
-		pap := 0.0
-		for i := 0; i < n; i++ {
-			pap += p[i] * ap[i]
+		on := live[:0]
+		for k := range ss {
+			if !ss[k].done {
+				on = append(on, &ss[k])
+			}
 		}
-		if pap <= 0 {
-			return iter, fmt.Errorf("linalg: p·Ap = %g ≤ 0 at iter %d: matrix not SPD", pap, iter)
+		// The lockstep product serves up to two solves, all SolveCG2 runs.
+		var pap [2]float64
+		switch len(on) {
+		case 0:
+			return nil
+		case 1:
+			pap[0] = m.mulDot(on[0].ap, on[0].p)
+		default:
+			pap[0], pap[1] = m.mulDot2(on[0].ap, on[0].p, on[1].ap, on[1].p)
 		}
-		alpha := rz / pap
-		normR := 0.0
-		for i := 0; i < n; i++ {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-			normR += r[i] * r[i]
-		}
-		if math.Sqrt(normR)/normB <= tol {
-			return iter, nil
-		}
-		rzNew := 0.0
-		for i := 0; i < n; i++ {
-			z[i] = inv[i] * r[i]
-			rzNew += r[i] * z[i]
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := 0; i < n; i++ {
-			p[i] = z[i] + beta*p[i]
+		for k, s := range on {
+			if pap[k] <= 0 {
+				s.iters, s.err, s.done = iter, fmt.Errorf("linalg: p·Ap = %g ≤ 0 at iter %d: matrix not SPD", pap[k], iter), true
+				continue
+			}
+			alpha := s.rz / pap[k]
+			normR, rzNew := 0.0, 0.0
+			x, r, z, p, ap := s.x[:n], s.r[:n], s.z[:n], s.p[:n], s.ap[:n]
+			for i := range x {
+				x[i] += alpha * p[i]
+				r[i] -= alpha * ap[i]
+				normR += r[i] * r[i]
+				z[i] = inv[i] * r[i]
+				rzNew += r[i] * z[i]
+			}
+			if math.Sqrt(normR)/s.normB <= tol {
+				s.iters, s.done = iter, true
+				continue
+			}
+			beta := rzNew / s.rz
+			s.rz = rzNew
+			for i := range p {
+				p[i] = z[i] + beta*p[i]
+			}
 		}
 	}
-	return maxIter, ErrNoConvergence
+	for k := range ss {
+		if s := &ss[k]; !s.done {
+			s.iters, s.err = maxIter, ErrNoConvergence
+		}
+	}
+	return nil
+}
+
+// mulDot sets ap = m·p and returns p·ap, summed row by row as MulVec and a
+// separate dot-product loop would.
+func (m *CSR) mulDot(ap, p []float64) float64 {
+	pap := 0.0
+	for r := range ap {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols := m.Col[lo:hi:hi]
+		s := 0.0
+		for i, v := range m.Val[lo:hi:hi] {
+			s += v * p[cols[i]]
+		}
+		ap[r] = s
+		pap += p[r] * s
+	}
+	return pap
+}
+
+// mulDot2 is mulDot for two vectors over one pass of m.
+func (m *CSR) mulDot2(ap, p, aq, q []float64) (pap, qaq float64) {
+	for r := range ap {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		cols := m.Col[lo:hi:hi]
+		s, t := 0.0, 0.0
+		for i, v := range m.Val[lo:hi:hi] {
+			c := cols[i]
+			s += v * p[c]
+			t += v * q[c]
+		}
+		ap[r], aq[r] = s, t
+		pap += p[r] * s
+		qaq += q[r] * t
+	}
+	return pap, qaq
 }
 
 // Residual returns ‖b − m·x‖₂ for diagnostics and tests.

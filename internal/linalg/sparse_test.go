@@ -231,3 +231,142 @@ func TestMulVecMatchesNaiveLoop(t *testing.T) {
 		}
 	}
 }
+
+// referenceSolveCG is SolveCG as it was before the lockstep solver: one
+// right-hand side, MulVec and the dot products as separate loops. The
+// lockstep solve must reproduce it bit for bit.
+func referenceSolveCG(m *CSR, x, b []float64, opt CGOptions) (int, error) {
+	tol := opt.Tol
+	if tol == 0 {
+		tol = 1e-8
+	}
+	maxIter := opt.MaxIter
+	if maxIter == 0 {
+		maxIter = 4 * m.N
+	}
+	n := m.N
+	inv := make([]float64, n)
+	for i, d := range m.Diagonal() {
+		inv[i] = 1 / d
+	}
+	r := make([]float64, n)
+	z := make([]float64, n)
+	p := make([]float64, n)
+	ap := make([]float64, n)
+	m.MulVec(ap, x)
+	normB := 0.0
+	for i := 0; i < n; i++ {
+		r[i] = b[i] - ap[i]
+		normB += b[i] * b[i]
+	}
+	normB = math.Sqrt(normB)
+	if normB == 0 {
+		for i := range x {
+			x[i] = 0
+		}
+		return 0, nil
+	}
+	rz := 0.0
+	for i := 0; i < n; i++ {
+		z[i] = inv[i] * r[i]
+		p[i] = z[i]
+		rz += r[i] * z[i]
+	}
+	for iter := 1; iter <= maxIter; iter++ {
+		m.MulVec(ap, p)
+		pap := 0.0
+		for i := 0; i < n; i++ {
+			pap += p[i] * ap[i]
+		}
+		alpha := rz / pap
+		normR := 0.0
+		for i := 0; i < n; i++ {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+			normR += r[i] * r[i]
+		}
+		if math.Sqrt(normR)/normB <= tol {
+			return iter, nil
+		}
+		rzNew := 0.0
+		for i := 0; i < n; i++ {
+			z[i] = inv[i] * r[i]
+			rzNew += r[i] * z[i]
+		}
+		beta := rzNew / rz
+		rz = rzNew
+		for i := 0; i < n; i++ {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return maxIter, ErrNoConvergence
+}
+
+// TestSolveCG2MatchesTwoSolves holds the lockstep pair solve, and SolveCG
+// as its one-vector case, to the reference solver bit for bit on seeded
+// anchored Laplacians: cold starts, a warm-started y that converges long
+// before x, a zero right-hand side, and budgets that stop one or both
+// solves unconverged.
+func TestSolveCG2MatchesTwoSolves(t *testing.T) {
+	sameBits := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	earlier, unconverged := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(150)
+		m, bx := laplacianSystem(rng, n, 0.01+rng.Float64()*0.2)
+		by := make([]float64, n)
+		for i := range by {
+			by[i] = rng.Float64()*4 - 2
+		}
+		x0 := make([]float64, n)
+		y0 := make([]float64, n)
+		switch seed % 4 {
+		case 1: // y starts at its solution: it stops after an iteration or two
+			if _, err := referenceSolveCG(m, y0, by, CGOptions{Tol: 1e-12}); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			for i := range by {
+				by[i] = 0
+			}
+		case 3:
+			for i := range x0 {
+				x0[i] = rng.Float64() * 8
+			}
+		}
+		opt := CGOptions{Tol: 1e-4 * rng.Float64() * 10, MaxIter: []int{0, 300, 7, 2}[rng.Intn(4)]}
+
+		wantX, wantY := append([]float64(nil), x0...), append([]float64(nil), y0...)
+		itX, errX := referenceSolveCG(m, wantX, bx, opt)
+		itY, errY := referenceSolveCG(m, wantY, by, opt)
+
+		gotX, gotY := append([]float64(nil), x0...), append([]float64(nil), y0...)
+		iters, errs := SolveCG2(m, gotX, bx, gotY, by, opt)
+		if iters != [2]int{itX, itY} || errs[0] != errX || errs[1] != errY {
+			t.Fatalf("seed %d: SolveCG2 = %v %v, reference %v %v / %v %v", seed, iters, errs, itX, errX, itY, errY)
+		}
+		if !sameBits(gotX, wantX) || !sameBits(gotY, wantY) {
+			t.Fatalf("seed %d: SolveCG2 solution differs from the reference in its bits", seed)
+		}
+		one := append([]float64(nil), x0...)
+		if it, err := SolveCG(m, one, bx, opt); it != itX || err != errX || !sameBits(one, wantX) {
+			t.Fatalf("seed %d: SolveCG = %d %v, reference %d %v (or bits differ)", seed, it, err, itX, errX)
+		}
+		if itY < itX {
+			earlier++
+		}
+		if errX == ErrNoConvergence {
+			unconverged++
+		}
+	}
+	if earlier == 0 || unconverged == 0 {
+		t.Fatalf("%d cases had y stop before x and %d left x unconverged: both must occur", earlier, unconverged)
+	}
+}

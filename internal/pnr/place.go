@@ -1,6 +1,7 @@
 package pnr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -23,6 +24,9 @@ type Placement struct {
 	// cellEntity maps a netlist cell to its entity index (-1 for cells not
 	// placed in this block, e.g. IO).
 	cellEntity []int32
+	// unconverged counts the placer's linear solves that stopped at their
+	// iteration cap short of the tolerance.
+	unconverged int
 }
 
 // SiteOf returns the site of the entity containing cell c.
@@ -64,7 +68,9 @@ func PlaceBlockAdj(n *netlist.Netlist, cells []netlist.CellID, grid *fpga.Grid, 
 	}
 
 	p := newPlacement(n, grid, entities)
-	p.place(adj)
+	if err := p.place(adj); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -92,10 +98,13 @@ const placeIterations = 6
 // place runs the iterative analytic placement loop and keeps the best
 // legalized result by weighted wirelength. The entity graph and its
 // Laplacian are built once; each relaxation only re-anchors the diagonal.
-func (p *Placement) place(adj [][]netlist.Edge) {
+func (p *Placement) place(adj [][]netlist.Edge) error {
 	ew := p.entityEdges(adj)
 	lap := newLaplacian(len(p.Entities), ew)
-	x, y := p.analyticPositions(lap, nil, nil, 0)
+	x, y, err := p.analyticPositions(lap, nil, nil, 0)
+	if err != nil {
+		return err
+	}
 	bestWL := math.Inf(1)
 	bestSites := make([]fpga.Site, len(p.Sites))
 	anchorW := 0.02
@@ -114,12 +123,15 @@ func (p *Placement) place(adj [][]netlist.Edge) {
 		for i := range p.Entities {
 			ax[i], ay[i] = p.Grid.SitePos(p.Sites[i])
 		}
-		x, y = p.analyticPositions(lap, ax, ay, anchorW)
+		if x, y, err = p.analyticPositions(lap, ax, ay, anchorW); err != nil {
+			return err
+		}
 		anchorW *= 2
 	}
 	copy(p.Sites, bestSites)
 	// Detailed placement: greedy swap refinement on the winning solution.
 	p.refineDetailed(ew)
+	return nil
 }
 
 // entityEdge is one weighted entity-level connection.
@@ -236,20 +248,30 @@ func (p *Placement) weightedWirelength(edges []entityEdge) float64 {
 }
 
 // analyticPositions computes continuous positions by quadratic placement:
-// minimize Σ w_ij ((x_i−x_j)² + (y_i−y_j)²), solved by conjugate gradients.
-func (p *Placement) analyticPositions(lap *laplacian, ax, ay []float64, anchorW float64) ([]float64, []float64) {
+// minimize Σ w_ij ((x_i−x_j)² + (y_i−y_j)²), solved by conjugate gradients
+// for x and y in lockstep over the shared matrix. A solve that stops at
+// its iteration cap is counted in p.unconverged, not failed: legalization
+// absorbs the residual error.
+func (p *Placement) analyticPositions(lap *laplacian, ax, ay []float64, anchorW float64) (x, y []float64, err error) {
 	ne := len(p.Entities)
-	x := make([]float64, ne)
-	y := make([]float64, ne)
+	x = make([]float64, ne)
+	y = make([]float64, ne)
 	if ne == 0 {
-		return x, y
+		return x, y, nil
 	}
 	bx, by := p.anchor(lap, ax, ay, anchorW)
 	// Convergence tolerance is modest: legalization absorbs residual error
 	// anyway.
-	_, _ = linalg.SolveCG(lap.m, x, bx, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
-	_, _ = linalg.SolveCG(lap.m, y, by, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
-	return x, y
+	_, errs := linalg.SolveCG2(lap.m, x, bx, y, by, linalg.CGOptions{Tol: 1e-4, MaxIter: 300})
+	for _, err := range errs {
+		switch {
+		case errors.Is(err, linalg.ErrNoConvergence):
+			p.unconverged++
+		case err != nil:
+			return nil, nil, fmt.Errorf("pnr: placement solve: %w", err)
+		}
+	}
+	return x, y, nil
 }
 
 // anchor loads lap.m with the edge Laplacian plus one relaxation's anchors

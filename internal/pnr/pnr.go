@@ -2,7 +2,9 @@ package pnr
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"vital/internal/fpga"
@@ -18,6 +20,10 @@ type BlockResult struct {
 	Placement *Placement
 	Routing   *Routing
 	Timing    TimingResult
+	// UnconvergedSolves counts the placer's x and y solves that stopped
+	// at their iteration cap short of the tolerance (legalization absorbs
+	// the residual, so it is not an error).
+	UnconvergedSolves int
 	// Elapsed is the wall time of this block's P&R, feeding the Fig. 8
 	// compile-time breakdown.
 	Elapsed time.Duration
@@ -58,10 +64,14 @@ func LocalPlaceAndRouteOpts(ctx context.Context, n *netlist.Netlist, cellBlock [
 		}
 		perBlock[b] = append(perBlock[b], netlist.CellID(c))
 	}
-	// The adjacency view is identical for every block: build it once per
-	// compile instead of once per block (it is a read-only input shared by
-	// all workers).
+	// The adjacency view and the timing order are identical for every
+	// block: build them once per compile instead of once per block (they
+	// are read-only inputs shared by all workers).
 	adj := n.Adjacency(packMaxFanout)
+	order, combLoop := n.TopoOrder()
+	if combLoop {
+		return nil, errors.New("pnr: netlist has a combinational loop, so timing has no critical path")
+	}
 	results := make([]*BlockResult, numBlocks)
 	// Each block opens a child span under the caller's stage span (if any):
 	// with workers the trace shows the fan-out/fan-in shape, since sibling
@@ -76,12 +86,14 @@ func LocalPlaceAndRouteOpts(ctx context.Context, n *netlist.Netlist, cellBlock [
 		}
 		routing := RouteBlock(n, placement)
 		results[b] = &BlockResult{
-			Block:     b,
-			Placement: placement,
-			Routing:   routing,
-			Timing:    AnalyzeTiming(n, placement, routing),
-			Elapsed:   time.Since(start),
+			Block:             b,
+			Placement:         placement,
+			Routing:           routing,
+			Timing:            AnalyzeTiming(n, order, placement, routing),
+			UnconvergedSolves: placement.unconverged,
+			Elapsed:           time.Since(start),
 		}
+		sp.SetAttr("unconverged_solves", strconv.Itoa(placement.unconverged))
 		return nil
 	})
 	if err != nil {

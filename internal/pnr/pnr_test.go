@@ -139,7 +139,11 @@ func TestAnalyzeTimingPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := RouteBlock(n, p)
-	tm := AnalyzeTiming(n, p, r)
+	order, combLoop := n.TopoOrder()
+	if combLoop {
+		t.Fatal("lenet-S netlist has a combinational loop")
+	}
+	tm := AnalyzeTiming(n, order, p, r)
 	if tm.CriticalPathNs <= 0 || tm.FmaxMHz <= 0 {
 		t.Fatalf("timing = %+v", tm)
 	}
@@ -188,6 +192,22 @@ func TestLocalPlaceAndRouteMultiBlock(t *testing.T) {
 		if br.Timing.FmaxMHz <= 0 {
 			t.Fatalf("block %d: no timing", br.Block)
 		}
+	}
+}
+
+// A combinational loop leaves timing without a dataflow order: local P&R
+// reports it instead of timing an arbitrary cut of the loop.
+func TestLocalPlaceAndRouteRejectsCombLoop(t *testing.T) {
+	n := netlist.New("loop")
+	a := n.AddCell(netlist.KindLUT, "a")
+	b := n.AddCell(netlist.KindLUT, "b")
+	ab, ba := n.AddNet("ab", 1), n.AddNet("ba", 1)
+	n.SetDriver(ab, a)
+	n.AddSink(ab, b)
+	n.SetDriver(ba, b)
+	n.AddSink(ba, a)
+	if _, err := LocalPlaceAndRoute(n, []int{0, 0}, 1, blockGrid()); err == nil {
+		t.Fatal("accepted a netlist with a combinational loop")
 	}
 }
 

@@ -24,10 +24,10 @@ type TimingResult struct {
 }
 
 // AnalyzeTiming computes the critical path of the cells covered by the
-// placement, using the routing's per-net delays. Sequential cells (DFF,
-// BRAM, DSP) break paths, as in TopoOrder.
-func AnalyzeTiming(n *netlist.Netlist, p *Placement, r *Routing) TimingResult {
-	order, _ := n.TopoOrder()
+// placement, using the routing's per-net delays. order is n.TopoOrder()'s
+// dataflow order, computed once per netlist and shared by its blocks.
+// Sequential cells (DFF, BRAM, DSP) break paths, as in TopoOrder.
+func AnalyzeTiming(n *netlist.Netlist, order []netlist.CellID, p *Placement, r *Routing) TimingResult {
 	arrival := make([]float64, n.NumCells())
 	crit := 0.0
 	sequential := func(k netlist.Kind) bool {

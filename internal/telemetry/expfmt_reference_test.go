@@ -335,3 +335,26 @@ func TestWritePrometheusAllocsFlat(t *testing.T) {
 		t.Fatalf("WritePrometheus allocates %.0f times over 1000 series per family, %.0f over 10: allocations grow with series", large, small)
 	}
 }
+
+// A walk's allocations must not grow with the tenant count of the
+// gateway-shaped registry, whose per-tenant gauges are one-series
+// collectors: their signatures are rendered once, at registration, and
+// their walked series come from one slab.
+func TestWalkAllocsFlatInOneSeriesCollectors(t *testing.T) {
+	allocs := func(tenants int) (walk, write float64) {
+		r := gatewayRegistry(tenants)
+		walk = testing.AllocsPerRun(20, func() { r.walk() })
+		write = testing.AllocsPerRun(20, func() {
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return walk, write
+	}
+	smallWalk, smallWrite := allocs(8)
+	largeWalk, largeWrite := allocs(256)
+	if largeWalk > smallWalk || largeWrite > smallWrite {
+		t.Fatalf("walk allocates %.0f times at 256 tenants, %.0f at 8; WritePrometheus %.0f and %.0f: allocations grow with tenants",
+			largeWalk, smallWalk, largeWrite, smallWrite)
+	}
+}

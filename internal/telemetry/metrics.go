@@ -229,9 +229,9 @@ func (s *series) load() float64 {
 	return s.value
 }
 
-// family groups the series of one metric name. The series map is guarded by
-// the registry's mutex and never touched outside it; the rest is fixed at
-// creation.
+// family groups the series of one metric name. The series map and the
+// funcs list are guarded by the registry's mutex and never touched outside
+// it; the rest is fixed at creation.
 type family struct {
 	name   string
 	help   string
@@ -241,6 +241,16 @@ type family struct {
 	// "+Inf" last, formatted once for every series and every walk.
 	les    []string
 	series map[string]*series
+	// funcs are the family's one-series collectors, append-only.
+	funcs []oneSeries
+}
+
+// oneSeries is a GaugeFunc/CounterFunc series: its signature and labels are
+// fixed when it is registered, and only its value, fn(), is read per walk.
+type oneSeries struct {
+	sig    string
+	labels []Label
+	fn     func() float64
 }
 
 // Registry is a set of named metrics. Get-or-create lookups take a mutex;
@@ -437,19 +447,25 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 }
 
 func (r *Registry) collectFunc(name, help string, typ MetricType, fn func() float64, labels []Label) {
-	keys, values := make([]string, len(labels)), make([]string, len(labels))
-	for i, l := range labels {
-		keys[i], values[i] = l.Key, l.Value
-	}
-	d := r.desc(name, help, typ, keys)
-	r.Collect(func(emit Emit) { emit(d, fn(), values...) })
+	validate(name, labels)
+	// Walks share the label slice read-only; its capacity is its length, so
+	// no reader's append can write into it.
+	own := make([]Label, len(labels))
+	copy(own, labels)
+	one := oneSeries{sig: signature(labels), labels: own, fn: fn}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyLocked(name, help, typ, nil)
+	f.funcs = append(f.funcs, one)
 }
 
 // walkedFamily is one family as a walk observed it: series is the walk's
-// own copy, sorted by label signature (fam.series stays behind r.mu).
+// own copy, sorted by label signature (fam.series and fam.funcs stay
+// behind r.mu; funcs is the walk's view of the latter).
 type walkedFamily struct {
 	fam    *family
 	series []*series
+	funcs  []oneSeries
 }
 
 // walkChunk is how many collected series (and twice as many labels) a walk
@@ -458,25 +474,38 @@ const walkChunk = 128
 
 // walk is the registry's one reader; Samples, WritePrometheus and Snapshot
 // render from it. Under r.mu it copies every family and its series
-// pointers; after the unlock it runs each collector once. No reader
-// therefore touches a family's map while a writer may be creating a series
-// in it, and a collector is free to take its owner's locks. Families come
-// back sorted by name; one nothing emitted into is left out. The series a
-// collector emits, and their label slices, are carved from per-walk chunks
-// rather than allocated one by one.
+// pointers; after the unlock it reads each one-series collector's value
+// and runs each collector once. No reader therefore touches a family's map
+// while a writer may be creating a series in it, and a collector is free
+// to take its owner's locks. Families come back sorted by name; one
+// nothing emitted into is left out. The one-series collectors' series come
+// from one per-walk slab, with the signature and labels they were
+// registered with; the series a collector emits, and their label slices,
+// are carved from per-walk chunks rather than allocated one by one.
 func (r *Registry) walk() []walkedFamily {
 	r.mu.Lock()
 	fams := make([]walkedFamily, 0, len(r.families))
+	nfuncs := 0
 	for _, f := range r.families {
-		ws := make([]*series, 0, len(f.series))
+		ws := make([]*series, 0, len(f.series)+len(f.funcs))
 		//lint:ignore mapdeterminism every family's series are sorted below, once the collectors have added theirs
 		for _, s := range f.series {
 			ws = append(ws, s)
 		}
-		fams = append(fams, walkedFamily{fam: f, series: ws})
+		fams = append(fams, walkedFamily{fam: f, series: ws, funcs: f.funcs})
+		nfuncs += len(f.funcs)
 	}
 	collectors := r.collectors
 	r.mu.Unlock()
+
+	funcSlab := make([]series, 0, nfuncs)
+	for i := range fams {
+		f := &fams[i]
+		for _, one := range f.funcs {
+			funcSlab = append(funcSlab, series{sig: one.sig, labels: one.labels, value: one.fn()})
+			f.series = append(f.series, &funcSlab[len(funcSlab)-1])
+		}
+	}
 
 	slices.SortFunc(fams, func(a, b walkedFamily) int { return strings.Compare(a.fam.name, b.fam.name) })
 	slot := make(map[*family]int, len(fams))
