@@ -64,13 +64,15 @@ lint-sarif:
 # ns/op and allocs/op before/after numbers come from them, run with
 # -benchtime 2s -count 5). The per-stage compile benchmarks price packing,
 # synthesis and one block's routing on their own, each in its stage's
-# package. The relay benchmark prices the gateway copying one backend
+# package; -benchmem prints their bytes and allocations per op (synthesis
+# bytes/op before/after numbers come from BenchmarkSynthesize, run with
+# -count 5). The relay benchmark prices the gateway copying one backend
 # response; -benchmem shows the bytes it allocates per relay, over 1 000
 # relays so that filling the buffer pool once does not dominate.
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkTable2CompileSerial$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkWritePrometheus$$|BenchmarkSamples$$' -benchtime=1x ./internal/telemetry
-	$(GO) test -run=NONE -bench='BenchmarkPack$$|BenchmarkSynthesize$$|BenchmarkRouteBlock$$' -benchtime=1x ./internal/partition ./internal/hls ./internal/pnr
+	$(GO) test -run=NONE -bench='BenchmarkPack$$|BenchmarkSynthesize$$|BenchmarkRouteBlock$$' -benchmem -benchtime=1x ./internal/partition ./internal/hls ./internal/pnr
 	$(GO) test -run=NONE -bench='BenchmarkRelay$$' -benchmem -benchtime=1000x ./internal/gateway
 
 # End-to-end benchmark smoke through the harness entry BENCHMARK.json

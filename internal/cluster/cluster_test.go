@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"vital/internal/fpga"
@@ -106,4 +107,25 @@ func TestHeterogeneousClusterValidation(t *testing.T) {
 	if _, err := NewHeterogeneous(nil, Config{}); err == nil {
 		t.Fatal("empty device list accepted")
 	}
+}
+
+// A board costs what it uses, not what it has installed: 64 boards of the
+// default 128 GiB DRAM retain at most 64 KiB each once built.
+func TestNewRetainsLittlePerBoard(t *testing.T) {
+	const boards = 64
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := New(Config{NumBoards: boards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(c)
+	if perBoard := retained / boards; perBoard > 64<<10 {
+		t.Fatalf("New(%d boards) retained %d bytes, %d per board; want <= 64 KiB per board", boards, retained, perBoard)
+	}
+	t.Logf("New(%d boards) retained %d bytes (%d per board)", boards, retained, retained/boards)
 }

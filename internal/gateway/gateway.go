@@ -99,6 +99,10 @@ type Gateway struct {
 	// apps records per-tenant instance app names already compiled on the
 	// backend, so repeat submissions skip the instance compile too.
 	apps map[string]bool
+	// keys memoises the design key of every spec workload.ParseSpec has
+	// accepted (spec → key). Only the 21 Table 2 specs parse, so it needs
+	// no eviction.
+	keys map[string]bitstream.CacheKey
 }
 
 // New builds a gateway over a running backend. It fetches the backend's
@@ -119,6 +123,7 @@ func New(cfg Config) (*Gateway, error) {
 		limits:  newLimiterSet(cfg.Rate, cfg.Burst),
 		designs: map[bitstream.CacheKey]string{},
 		apps:    map[string]bool{},
+		keys:    map[string]bitstream.CacheKey{},
 	}
 	objective := telemetry.SLOObjective{Target: cfg.SLOTarget, Window: cfg.SLOWindow}
 	if objective.Target == 0 {
@@ -295,6 +300,23 @@ func (g *Gateway) ensureInstance(ctx context.Context, spec, appName string) (com
 	return true, nil
 }
 
+// designKey returns the coalescing handle of a spec workload.ParseSpec
+// accepted as name: the same content-addressed key the backend's compile
+// cache is keyed by, computed without compiling anything, once per spec.
+func (g *Gateway) designKey(name string, spec workload.Spec) bitstream.CacheKey {
+	g.mu.Lock()
+	k, ok := g.keys[name]
+	g.mu.Unlock()
+	if ok {
+		return k
+	}
+	k = core.DesignKey(workload.BuildDesign(spec), g.params)
+	g.mu.Lock()
+	g.keys[name] = k
+	g.mu.Unlock()
+	return k
+}
+
 // handleSubmit is the admission path.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -334,10 +356,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The coalescing handle: the same content-addressed key the backend's
-	// compile cache is keyed by, computed without compiling anything.
-	d := workload.BuildDesign(spec)
-	dkey := core.DesignKey(d, g.params)
+	dkey := g.designKey(req.Design, spec)
 
 	ctx := r.Context()
 	csp := telemetry.StartChild(ctx, "ensure.design", telemetry.String("design", req.Design))

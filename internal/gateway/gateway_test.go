@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"vital/internal/bitstream"
 	"vital/internal/core"
+	"vital/internal/workload"
 )
 
 // --- flightGroup ---------------------------------------------------------
@@ -413,5 +415,46 @@ func TestGatewaySingleflightDedup(t *testing.T) {
 	}
 	if got := stack.Controller.CacheStats().Misses; got != 1 {
 		t.Fatalf("warm resubmission added a cache miss (%d)", got)
+	}
+}
+
+// The spec → design-key memo answers what core.DesignKey computes from
+// the backend's own compile parameters, for every Table 2 spec, when
+// concurrent submits fill it and on every repeat, and a repeat lookup
+// allocates nothing.
+func TestDesignKeyMemo(t *testing.T) {
+	stack, g, _ := newGatewayPair(t, Config{})
+	specs := workload.AllSpecs()
+	want := make(map[string]bitstream.CacheKey, len(specs))
+	for _, spec := range specs {
+		want[spec.Name()] = core.DesignKey(workload.BuildDesign(spec), stack.CompileParams())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, spec := range specs {
+				if got := g.designKey(spec.Name(), spec); got != want[spec.Name()] {
+					t.Errorf("%s: key %s, want %s", spec.Name(), got, want[spec.Name()])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, spec := range specs {
+		name := spec.Name()
+		if got := g.designKey(name, spec); got != want[name] {
+			t.Fatalf("%s repeat: key %s, want %s", name, got, want[name])
+		}
+		if allocs := testing.AllocsPerRun(100, func() { g.designKey(name, spec) }); allocs != 0 {
+			t.Fatalf("%s: repeat lookup allocates %v times", name, allocs)
+		}
+	}
+	g.mu.Lock()
+	memoised := len(g.keys)
+	g.mu.Unlock()
+	if memoised != len(specs) {
+		t.Fatalf("memo holds %d keys, want %d", memoised, len(specs))
 	}
 }

@@ -43,7 +43,8 @@ func Synthesize(d *Design) (*SynthesisResult, error) {
 		return nil, err
 	}
 	n := netlist.New(d.Name)
-	res := &SynthesisResult{Netlist: n}
+	n.Grow(synthesisSize(d))
+	res := &SynthesisResult{Netlist: n, Ops: make([]Lowered, 0, len(d.Ops))}
 	var nm namer
 	for _, op := range d.Ops {
 		res.Ops = append(res.Ops, lowerOp(n, &nm, &op))
@@ -63,6 +64,24 @@ func Synthesize(d *Design) (*SynthesisResult, error) {
 		return nil, fmt.Errorf("hls: lowering produced invalid netlist: %w", err)
 	}
 	return res, nil
+}
+
+// synthesisSize returns the exact cell count of d's netlist and an upper
+// bound on its net count, so Synthesize allocates both once. Lowering
+// materializes each budget exactly, so an operator has one cell per budget
+// unit, or one IO pad if its budget is empty. Its nets are at most one per
+// cell (chains and PE links), one per weaveStep cells (weave links), one
+// per DSP (operand feeds), two per BRAM (read and write buses), the
+// broadcast buses and the enable net; the bound counts one more per DSP
+// and per BRAM, and every connection adds one net.
+func synthesisSize(d *Design) (cells, nets int) {
+	for i := range d.Ops {
+		b := d.Ops[i].Budget
+		c := b.LUTs + b.DFFs + b.DSPs + b.BRAMs
+		nets += c + c/weaveStep + 2*b.DSPs + 2*b.BRAMs + broadcastBuses + 2
+		cells += max(c, 1)
+	}
+	return cells, nets + len(d.Conns)
 }
 
 // Structural constants of the macro expansion.

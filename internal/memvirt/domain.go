@@ -2,6 +2,7 @@ package memvirt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -135,7 +136,16 @@ func (m *Manager) DestroyDomain(app string) error {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, ppn := range d.pages {
+	// Return the pages highest virtual page first, so the pool hands them
+	// back out in the order the domain mapped them (and the same run of
+	// deploys always lands on the same physical pages).
+	vpns := make([]uint64, 0, len(d.pages))
+	for vpn := range d.pages {
+		vpns = append(vpns, vpn)
+	}
+	slices.Sort(vpns)
+	for i := len(vpns) - 1; i >= 0; i-- {
+		ppn := d.pages[vpns[i]]
 		m.mu.Lock()
 		delete(m.owner, ppn)
 		m.mu.Unlock()

@@ -18,33 +18,35 @@ const PageBytes = 2 << 20
 
 // DRAM models one board's DRAM: a physical page allocator plus a bandwidth
 // figure used by the performance model.
+//
+// The allocator keeps no per-page state for pages never used: pages
+// [fresh, pages) have never been handed out, and freed holds the pages
+// returned since, so a board costs the pages in use rather than the DIMMs
+// installed.
 type DRAM struct {
 	CapacityBytes uint64
 	BandwidthGBps float64
 
-	mu   sync.Mutex
-	free []uint64 // physical page numbers
+	mu    sync.Mutex
+	pages uint64   // capacity in pages
+	fresh uint64   // lowest page never handed out
+	freed []uint64 // returned physical page numbers, reused last-in first-out
 }
 
 // NewDRAM builds a DRAM model with the given capacity (rounded down to
-// whole pages).
+// whole pages). Pages are handed out in ascending order, 0 first, and a
+// returned page is reused before any page never handed out, the most
+// recently returned first.
 func NewDRAM(capacityBytes uint64, bandwidthGBps float64) *DRAM {
 	pages := capacityBytes / PageBytes
-	d := &DRAM{CapacityBytes: pages * PageBytes, BandwidthGBps: bandwidthGBps}
-	d.free = make([]uint64, pages)
-	for i := range d.free {
-		// Hand out pages from the top so address confusion with virtual
-		// addresses (which start at 0) shows up immediately in tests.
-		d.free[i] = pages - 1 - uint64(i)
-	}
-	return d
+	return &DRAM{CapacityBytes: pages * PageBytes, BandwidthGBps: bandwidthGBps, pages: pages}
 }
 
 // FreePages returns the number of unallocated physical pages.
 func (d *DRAM) FreePages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.free)
+	return len(d.freed) + int(d.pages-d.fresh)
 }
 
 // ErrOutOfMemory indicates physical DRAM exhaustion.
@@ -53,18 +55,23 @@ var ErrOutOfMemory = errors.New("memvirt: out of physical DRAM")
 func (d *DRAM) allocPage() (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.free) == 0 {
+	if n := len(d.freed); n > 0 {
+		p := d.freed[n-1]
+		d.freed = d.freed[:n-1]
+		return p, nil
+	}
+	if d.fresh == d.pages {
 		return 0, ErrOutOfMemory
 	}
-	p := d.free[len(d.free)-1]
-	d.free = d.free[:len(d.free)-1]
+	p := d.fresh
+	d.fresh++
 	return p, nil
 }
 
 func (d *DRAM) freePage(ppn uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.free = append(d.free, ppn)
+	d.freed = append(d.freed, ppn)
 }
 
 // TransferTime returns the seconds needed to move n bytes at the DRAM's

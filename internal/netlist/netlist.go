@@ -124,6 +124,28 @@ func New(name string) *Netlist {
 	return &Netlist{Name: name}
 }
 
+// Grow makes room for at least cells more cells and nets more nets, so
+// that many AddCell and AddNet calls do not reallocate, in the style of
+// slices.Grow. Unlike slices.Grow it leaves the capacity exact, so a
+// builder that knows its final size wastes nothing. It panics if either
+// count is negative.
+func (n *Netlist) Grow(cells, nets int) {
+	n.Cells = grow(n.Cells, cells)
+	n.Nets = grow(n.Nets, nets)
+}
+
+func grow[E any](s []E, k int) []E {
+	if k < 0 {
+		panic("netlist: Grow count cannot be negative")
+	}
+	if cap(s)-len(s) >= k {
+		return s
+	}
+	g := make([]E, len(s), len(s)+k)
+	copy(g, s)
+	return g
+}
+
 // AddCell appends a cell of the given kind and returns its ID.
 func (n *Netlist) AddCell(kind Kind, name string) CellID {
 	id := CellID(len(n.Cells))

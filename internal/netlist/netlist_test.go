@@ -50,6 +50,38 @@ func TestBuilderAndCheck(t *testing.T) {
 	}
 }
 
+func TestGrowReservesExactly(t *testing.T) {
+	n := New("g")
+	n.Grow(3, 2)
+	if cap(n.Cells) != 3 || cap(n.Nets) != 2 {
+		t.Fatalf("Grow(3, 2) on an empty netlist: cap(Cells) = %d, cap(Nets) = %d; want 3 and 2", cap(n.Cells), cap(n.Nets))
+	}
+	cells, nets := &n.Cells[:1][0], &n.Nets[:1][0]
+	a, b, c := n.AddCell(KindIO, "a"), n.AddCell(KindLUT, "b"), n.AddCell(KindIO, "c")
+	ab, bc := n.AddNet("ab", 1), n.AddNet("bc", 1)
+	n.SetDriver(ab, a)
+	n.AddSink(ab, b)
+	n.SetDriver(bc, b)
+	n.AddSink(bc, c)
+	if &n.Cells[0] != cells || &n.Nets[0] != nets {
+		t.Fatal("adding within the reserved room reallocated")
+	}
+	n.Grow(0, 0) // no room asked for: a no-op
+	n.Grow(2, 1)
+	if cap(n.Cells) != 5 || cap(n.Nets) != 3 {
+		t.Fatalf("Grow(2, 1) on a full netlist: cap(Cells) = %d, cap(Nets) = %d; want 5 and 3", cap(n.Cells), cap(n.Nets))
+	}
+	if err := n.Check(); err != nil || n.NumCells() != 3 || n.NumNets() != 2 || n.Cells[1].Name != "b" {
+		t.Fatalf("Grow changed the netlist: %d cells, %d nets, Check %v", n.NumCells(), n.NumNets(), err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Grow(-1, 0) did not panic")
+		}
+	}()
+	n.Grow(-1, 0)
+}
+
 func TestSetDriverPanicsOnDoubleDrive(t *testing.T) {
 	n := New("dd")
 	a := n.AddCell(KindLUT, "a")
