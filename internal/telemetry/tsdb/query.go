@@ -320,7 +320,7 @@ func (db *DB) quantileQuery(q Query, resp *Response, first, winMs int64) (*Respo
 			}
 			upper = u
 		}
-		k := key(q.Name, rest)
+		k := string(appendKey(nil, q.Name, rest))
 		g, ok := groups[k]
 		if !ok {
 			g = &bucketGroup{labels: rest}

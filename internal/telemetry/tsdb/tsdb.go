@@ -12,9 +12,9 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -47,13 +47,24 @@ const (
 	DefaultMaxChunks    = 64
 )
 
-// memSeries is the in-memory state of one stored series.
+// memSeries is the in-memory state of one stored series. Series live by
+// value in DB.slots and read their name and labels back from their key,
+// so a series with one chunk costs two heap objects — its key and the
+// chunk's bytes — however many labels it has, and the collector's mark
+// phase has that much less to visit.
 type memSeries struct {
-	name   string
-	labels []telemetry.Label // sorted by key
-	chunks []*chunk          // oldest first; the last chunk is active
-	lastT  int64             // newest appended timestamp (ms)
+	key    string  // appendKey(name, labels sorted by key)
+	head   chunk   // the active chunk
+	sealed []chunk // full chunks, oldest first
+	lastT  int64   // newest appended timestamp (ms)
 }
+
+// chunkCount is the number of chunks the series holds, the active one
+// included.
+func (s *memSeries) chunkCount() int { return len(s.sealed) + 1 }
+
+// encodedBytes sums the encoded bytes of every chunk of the series.
+func (s *memSeries) encodedBytes() int { return encodedBytes(s.sealed) + len(s.head.buf) }
 
 // DB is the store. All methods are safe for concurrent use; one mutex
 // guards the series table (scrapes are periodic and queries read-mostly,
@@ -62,11 +73,19 @@ type DB struct {
 	opts Options
 
 	mu        sync.Mutex
-	series    map[string]*memSeries
-	order     []string // insertion-ordered keys, for deterministic iteration
-	appended  uint64   // total samples ever appended
-	evictions uint64   // chunks dropped by retention or the ring cap
-	bytes     int      // encoded bytes across every resident chunk
+	series    map[string]int32 // key → index in slots
+	slots     []memSeries      // stored series; a dropped series' slot is zeroed and reused
+	free      []int32          // indices of zeroed slots
+	order     []int32          // live slots in insertion order, for deterministic iteration
+	appended  uint64           // total samples ever appended
+	evictions uint64           // chunks dropped by retention or the ring cap
+	bytes     int              // encoded bytes across every resident chunk
+
+	// Append's scratch, reused under mu: the labels sorted by key and the
+	// key they render, so that a sample of an existing series allocates
+	// nothing.
+	sorted []telemetry.Label
+	keyBuf []byte
 
 	scrapeHist *telemetry.Histogram
 	registered []*telemetry.Registry // in registration order
@@ -83,7 +102,7 @@ func New(opts Options) *DB {
 	if opts.MaxChunks <= 0 {
 		opts.MaxChunks = DefaultMaxChunks
 	}
-	return &DB{opts: opts, series: map[string]*memSeries{}}
+	return &DB{opts: opts, series: map[string]int32{}}
 }
 
 // Register publishes the DB's own health as vital_tsdb_* series in reg —
@@ -119,87 +138,124 @@ func (db *DB) Register(reg *telemetry.Registry) {
 	db.mu.Unlock()
 }
 
-// key renders the series identity: name plus the sorted label signature.
-func key(name string, labels []telemetry.Label) string {
-	if len(labels) == 0 {
-		return name
+// appendKey appends the identity of a series to b: the name and then each
+// label's key and value, every string preceded by its length as a uvarint.
+// labels must be sorted by key. The encoding is injective, and keyName and
+// keyLabels read the parts back as substrings of the key, without copying.
+func appendKey(b []byte, name string, labels []telemetry.Label) []byte {
+	b = binary.AppendUvarint(b, uint64(len(name)))
+	b = append(b, name...)
+	for _, l := range labels {
+		b = binary.AppendUvarint(b, uint64(len(l.Key)))
+		b = append(b, l.Key...)
+		b = binary.AppendUvarint(b, uint64(len(l.Value)))
+		b = append(b, l.Value...)
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(l.Value))
-	}
-	b.WriteByte('}')
-	return b.String()
+	return b
 }
 
-// sortLabels returns labels sorted by key (copying; inputs are shared).
-func sortLabels(labels []telemetry.Label) []telemetry.Label {
-	if len(labels) == 0 {
-		return nil
-	}
-	out := append([]telemetry.Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// nextString splits the first length-prefixed string off an appendKey
+// rendering.
+func nextString(k string) (string, string) {
+	n, w := binary.Uvarint([]byte(k[:min(len(k), binary.MaxVarintLen64)]))
+	k = k[w:]
+	return k[:n], k[n:]
 }
+
+// keyName returns the metric name of a series key.
+func keyName(k string) string {
+	name, _ := nextString(k)
+	return name
+}
+
+// keyLabels returns the labels of a series key, sorted by key. The
+// strings share the key's bytes; only the slice is allocated.
+func keyLabels(k string) []telemetry.Label {
+	_, rest := nextString(k)
+	var labels []telemetry.Label
+	for rest != "" {
+		var l telemetry.Label
+		l.Key, rest = nextString(rest)
+		l.Value, rest = nextString(rest)
+		labels = append(labels, l)
+	}
+	return labels
+}
+
+// compareKeys orders labels by key.
+func compareKeys(a, b telemetry.Label) int { return strings.Compare(a.Key, b.Key) }
 
 // Append records one sample for (name, labels) at t. Labels need not be
 // sorted. Out-of-order timestamps (t older than the series' newest) are
 // dropped — the scraper is the only writer and time moves forward; a
 // replayed clock that regressed would otherwise corrupt delta windows.
 func (db *DB) Append(name string, labels []telemetry.Label, t time.Time, v float64) {
-	ls := sortLabels(labels)
-	k := key(name, ls)
 	ms := t.UnixMilli()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s, ok := db.series[k]
+	db.sorted = append(db.sorted[:0], labels...)
+	slices.SortFunc(db.sorted, compareKeys)
+	db.keyBuf = appendKey(db.keyBuf[:0], name, db.sorted)
+	clear(db.sorted) // hold no caller's strings past the call
+	i, ok := db.series[string(db.keyBuf)]
 	if !ok {
-		s = &memSeries{name: name, labels: ls}
-		db.series[k] = s
-		db.order = append(db.order, k)
+		i = db.newSeriesLocked(string(db.keyBuf))
 	}
+	s := &db.slots[i]
 	if s.lastT != 0 && ms < s.lastT {
 		return
 	}
 	db.appendLocked(s, ms, v)
 }
 
-func (db *DB) appendLocked(s *memSeries, ms int64, v float64) {
-	if len(s.chunks) == 0 || s.chunks[len(s.chunks)-1].n >= db.opts.ChunkSamples {
-		s.chunks = append(s.chunks, &chunk{})
+// newSeriesLocked stores an empty series under key, in a free slot when
+// there is one, and returns its slot.
+func (db *DB) newSeriesLocked(key string) int32 {
+	var i int32
+	if n := len(db.free); n > 0 {
+		i = db.free[n-1]
+		db.free = db.free[:n-1]
+	} else {
+		i = int32(len(db.slots))
+		db.slots = append(db.slots, memSeries{})
 	}
-	active := s.chunks[len(s.chunks)-1]
-	before := len(active.buf)
-	active.append(ms, v)
-	db.bytes += len(active.buf) - before
+	db.slots[i].key = key
+	db.series[key] = i
+	db.order = append(db.order, i)
+	return i
+}
+
+func (db *DB) appendLocked(s *memSeries, ms int64, v float64) {
+	if s.head.n >= db.opts.ChunkSamples {
+		s.sealed = append(s.sealed, s.head)
+		s.head = chunk{}
+	}
+	before := len(s.head.buf)
+	s.head.append(ms, v)
+	db.bytes += len(s.head.buf) - before
 	s.lastT = ms
 	db.appended++
 	// Retire expired chunks (never the active one): past the retention
 	// horizon, or beyond the ring cap.
 	cutoff := ms - db.opts.Retention.Milliseconds()
 	drop := 0
-	for drop < len(s.chunks)-1 && (s.chunks[drop].maxT < cutoff || len(s.chunks)-drop > db.opts.MaxChunks) {
+	for drop < len(s.sealed) && (s.sealed[drop].maxT < cutoff || s.chunkCount()-drop > db.opts.MaxChunks) {
 		drop++
 	}
 	if drop > 0 {
-		db.bytes -= encodedBytes(s.chunks[:drop])
-		s.chunks = append([]*chunk(nil), s.chunks[drop:]...)
+		db.bytes -= encodedBytes(s.sealed[:drop])
+		n := copy(s.sealed, s.sealed[drop:])
+		clear(s.sealed[n:])
+		s.sealed = s.sealed[:n]
 		db.evictions += uint64(drop)
 	}
 }
 
 // encodedBytes sums the encoded bytes of chunks.
-func encodedBytes(chunks []*chunk) int {
+func encodedBytes(chunks []chunk) int {
 	n := 0
-	for _, c := range chunks {
-		n += len(c.buf)
+	for i := range chunks {
+		n += len(chunks[i].buf)
 	}
 	return n
 }
@@ -226,14 +282,16 @@ func (db *DB) Scrape(reg *telemetry.Registry, now time.Time, extra ...telemetry.
 	cutoff := now.UnixMilli() - db.opts.Retention.Milliseconds()
 	db.mu.Lock()
 	keep := db.order[:0]
-	for _, k := range db.order {
-		if s := db.series[k]; s.lastT < cutoff {
-			db.evictions += uint64(len(s.chunks))
-			db.bytes -= encodedBytes(s.chunks)
-			delete(db.series, k)
+	for _, i := range db.order {
+		if s := &db.slots[i]; s.lastT < cutoff {
+			db.evictions += uint64(s.chunkCount())
+			db.bytes -= s.encodedBytes()
+			delete(db.series, s.key)
+			*s = memSeries{}
+			db.free = append(db.free, i)
 			continue
 		}
-		keep = append(keep, k)
+		keep = append(keep, i)
 	}
 	db.order = keep
 	hist := db.scrapeHist
@@ -271,8 +329,8 @@ func (db *DB) Names() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	seen := map[string]bool{}
-	for _, s := range db.series {
-		seen[s.name] = true
+	for _, i := range db.order {
+		seen[keyName(db.slots[i].key)] = true
 	}
 	names := make([]string, 0, len(seen))
 	for n := range seen {
@@ -290,15 +348,19 @@ func (db *DB) matched(name string, matchers map[string]string, fromMs, toMs int6
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []seriesPoints
-	for _, k := range db.order {
-		s := db.series[k]
-		if s.name != name || !labelsMatch(s.labels, matchers) {
+	for _, i := range db.order {
+		s := &db.slots[i]
+		if keyName(s.key) != name {
 			continue
 		}
-		sp := seriesPoints{labels: s.labels}
-		for _, c := range s.chunks {
+		labels := keyLabels(s.key)
+		if !labelsMatch(labels, matchers) {
+			continue
+		}
+		sp := seriesPoints{labels: labels}
+		collect := func(c *chunk) {
 			if c.n == 0 || c.maxT < fromMs || c.t0 > toMs {
-				continue
+				return
 			}
 			c.iter(func(t int64, v float64) bool {
 				if t >= fromMs && t <= toMs {
@@ -307,6 +369,10 @@ func (db *DB) matched(name string, matchers map[string]string, fromMs, toMs int6
 				return t <= toMs
 			})
 		}
+		for j := range s.sealed {
+			collect(&s.sealed[j])
+		}
+		collect(&s.head)
 		if len(sp.pts) > 0 {
 			out = append(out, sp)
 		}

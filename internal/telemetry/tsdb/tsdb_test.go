@@ -139,7 +139,7 @@ func TestMaxChunksCap(t *testing.T) {
 		db.Append("x", nil, ts(float64(i)), float64(i))
 	}
 	db.mu.Lock()
-	n := len(db.series["x"].chunks)
+	n := db.slots[db.series[string(appendKey(nil, "x", nil))]].chunkCount()
 	db.mu.Unlock()
 	if n > 3 {
 		t.Fatalf("series holds %d chunks, cap is 3", n)
@@ -702,8 +702,10 @@ func TestChunkBytesRunningTotal(t *testing.T) {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		want := 0
-		for _, s := range db.series {
-			for _, c := range s.chunks {
+		for _, i := range db.series {
+			s := &db.slots[i]
+			want += len(s.head.buf)
+			for _, c := range s.sealed {
 				want += len(c.buf)
 			}
 		}
