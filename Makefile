@@ -68,12 +68,16 @@ lint-sarif:
 # bytes/op before/after numbers come from BenchmarkSynthesize, run with
 # -count 5). The relay benchmark prices the gateway copying one backend
 # response; -benchmem shows the bytes it allocates per relay, over 1 000
-# relays so that filling the buffer pool once does not dominate.
+# relays so that filling the buffer pool once does not dominate. The
+# execute benchmark prices one Execute of each execute_stream app on its
+# bound plan (ns/op before/after numbers come from it, run with -count 10);
+# -benchmem shows its allocations per call.
 benchsmoke:
 	$(GO) test -run=NONE -bench='BenchmarkTable2Compile$$|BenchmarkTable2CompileSerial$$|BenchmarkCompileCacheHit|BenchmarkDeploy10kBoards' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkWritePrometheus$$|BenchmarkSamples$$' -benchtime=1x ./internal/telemetry
 	$(GO) test -run=NONE -bench='BenchmarkPack$$|BenchmarkSynthesize$$|BenchmarkRouteBlock$$' -benchmem -benchtime=1x ./internal/partition ./internal/hls ./internal/pnr
 	$(GO) test -run=NONE -bench='BenchmarkRelay$$' -benchmem -benchtime=1000x ./internal/gateway
+	$(GO) test -run=NONE -bench='BenchmarkExecute$$' -benchmem -benchtime=100x ./internal/core
 
 # End-to-end benchmark smoke through the harness entry BENCHMARK.json
 # names: five seconds of sprawl_open — the one vitalperf workload that

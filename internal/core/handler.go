@@ -10,6 +10,12 @@ import (
 	"vital/internal/telemetry"
 )
 
+// executeResponse is the body POST /execute answers with.
+type executeResponse struct {
+	App   string          `json:"app"`
+	Stats *ExecutionStats `json:"stats"`
+}
+
 // NewStackHandler exposes the stack over HTTP: the system controller's
 // full surface (sched.NewHandler — status, deploy/undeploy, async
 // tickets, telemetry, alerts) plus the serving tier's compile/execute
@@ -100,10 +106,7 @@ func NewStackHandler(s *Stack) http.Handler {
 			httpapi.WriteError(w, code, err)
 			return
 		}
-		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{
-			"app":   req.App,
-			"stats": stats,
-		})
+		httpapi.WriteJSON(w, http.StatusOK, &executeResponse{App: req.App, Stats: stats})
 	})
 
 	mux.Handle("/", sched.NewHandler(s.Controller))

@@ -105,16 +105,22 @@ func (s *Stack) DesignKeyOf(name string) (bitstream.CacheKey, bool) {
 }
 
 // ExecuteByName runs a registered, deployed application for the given
-// number of tokens — the by-name flavor of Execute that the HTTP serving
-// tier drives (POST /execute).
+// number of tokens on its current placement — the by-name flavor of
+// Execute that the HTTP serving tier drives (POST /execute).
 func (s *Stack) ExecuteByName(app string, tokens uint64) (*ExecutionStats, error) {
 	ca, ok := s.App(app)
 	if !ok {
 		return nil, fmt.Errorf("core: %q: %w", app, ErrUnknownApp)
 	}
-	dep, ok := s.Controller.Deployment(app)
-	if !ok {
+	p, ok, err := s.boundPlan(ca)
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("core: %q: %w", app, ErrNotDeployed)
+	case err != nil:
+		return nil, err
 	}
-	return s.Execute(ca, dep, tokens)
+	if err := checkTokens(tokens); err != nil {
+		return nil, err
+	}
+	return s.execute(p, tokens, cycleBudget(tokens))
 }

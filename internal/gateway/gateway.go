@@ -498,6 +498,20 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.CopyBuffer(struct{ io.Writer }{w}, struct{ io.Reader }{resp.Body}, buf[:])
 }
 
+// undeployRequest and executeRequest are the tenant bodies of POST
+// /undeploy and POST /execute. Once the app is authorized the gateway
+// relays the decoded body as is: only the fields declared here reach the
+// backend.
+type (
+	undeployRequest struct {
+		App string `json:"app"`
+	}
+	executeRequest struct {
+		App    string `json:"app"`
+		Tokens uint64 `json:"tokens"`
+	}
+)
+
 // Handler returns the gateway's HTTP surface.
 //
 //	POST /submit    {design, priority, mem_quota_bytes} → 202 + ticket;
@@ -533,9 +547,7 @@ func (g *Gateway) Handler() http.Handler {
 	tenantHandle("POST /submit", "submit", g.handleSubmit)
 
 	tenantHandle("POST /undeploy", "undeploy", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			App string `json:"app"`
-		}
+		var req undeployRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -543,14 +555,11 @@ func (g *Gateway) Handler() http.Handler {
 		if _, ok := g.authorizeApp(w, r, req.App); !ok {
 			return
 		}
-		g.forward(w, r, "/undeploy", map[string]string{"app": req.App})
+		g.forward(w, r, "/undeploy", &req)
 	})
 
 	tenantHandle("POST /execute", "execute", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			App    string `json:"app"`
-			Tokens uint64 `json:"tokens"`
-		}
+		var req executeRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -558,7 +567,7 @@ func (g *Gateway) Handler() http.Handler {
 		if _, ok := g.authorizeApp(w, r, req.App); !ok {
 			return
 		}
-		g.forward(w, r, "/execute", map[string]interface{}{"app": req.App, "tokens": req.Tokens})
+		g.forward(w, r, "/execute", &req)
 	})
 
 	handle("GET /slo", g.handleSLO)

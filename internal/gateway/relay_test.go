@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"runtime"
 	"testing"
@@ -78,5 +79,32 @@ func BenchmarkRelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		body.rewind()
 		copyResponse(w, resp)
+	}
+}
+
+// The gateway relays the decoded /execute and /undeploy bodies as typed
+// structs; the backend must receive exactly the bytes the map encodings
+// it relayed before produced.
+func TestTypedRelayBodiesMatchMapEncoding(t *testing.T) {
+	apps := []string{"", "lenet-S", "alice.nin-M", `quote"and\slash`, "<html>&amp;", "ünïcødé", "tab\tnew\nline"}
+	for _, app := range apps {
+		for _, tokens := range []uint64{0, 1, 2, 10000, 1 << 32, ^uint64(0)} {
+			got, err := json.Marshal(&executeRequest{App: app, Tokens: tokens})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(map[string]interface{}{"app": app, "tokens": tokens})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("execute body %s, map encoding %s", got, want)
+			}
+		}
+		got, err := json.Marshal(&undeployRequest{App: app})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(map[string]string{"app": app})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("undeploy body %s, map encoding %s", got, want)
+		}
 	}
 }

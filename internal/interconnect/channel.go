@@ -268,5 +268,18 @@ func (c *Channel) Prime(n int) error {
 	return nil
 }
 
+// reset puts the channel back in the state New left it in, then deposits
+// again the tokens it was primed with.
+func (c *Channel) reset() {
+	primed := int(c.Primed)
+	clear(c.pipe)
+	clear(c.fifo)
+	c.head, c.count, c.credits = 0, 0, len(c.fifo)
+	c.ringGrant = false
+	c.Pushed, c.Popped, c.Primed, c.FullCycles, c.PeakOccupancy = 0, 0, 0, 0, 0
+	// The empty buffer held these tokens before, so priming cannot fail.
+	_ = c.Prime(primed)
+}
+
 // Occupancy returns the number of buffered tokens (consumer side).
 func (c *Channel) Occupancy() int { return c.count }

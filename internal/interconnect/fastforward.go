@@ -16,7 +16,8 @@ import "slices"
 // for field; the reference-model test in this package checks that.
 
 // fastForward is Run's steady-state detector. Its buffers are sized once
-// per Run, so detection allocates nothing per cycle.
+// per System, so detection allocates nothing per cycle, nor per Run of a
+// reset system.
 type fastForward struct {
 	// saved is the Brent checkpoint's signature, cur the current cycle's.
 	saved, cur []uint64
@@ -34,10 +35,15 @@ type fastForward struct {
 	off bool
 }
 
-// init sizes the buffers for s and takes the first checkpoint.
+// init sizes the buffers for s, reusing the ones an earlier Run of s
+// sized, and takes the first checkpoint.
 func (f *fastForward) init(s *System) {
 	sig, snap := s.signatureWords(), s.counterWords()
-	buf := make([]uint64, 2*sig+snap)
+	n := 2*sig + snap
+	if cap(s.ffBuf) < n {
+		s.ffBuf = make([]uint64, n)
+	}
+	buf := s.ffBuf[:n]
 	*f = fastForward{saved: buf[:0:sig], cur: buf[sig : sig : 2*sig], snap: buf[2*sig:], power: 1}
 	f.saved = s.signature(f.saved)
 }

@@ -237,3 +237,31 @@ func TestRunFastForwardsLongRuns(t *testing.T) {
 		t.Fatalf("gated src %d mid %d dst %d", src.Gated, mid.Gated, dst.Gated)
 	}
 }
+
+// TestResetMatchesFresh is Reset's reference-model check: on random
+// systems, a system run to any end (finished, budget-limited or
+// deadlocked), reset and run again returns what a freshly built copy does
+// and ends in its state — counters, traffic and tokens in flight — also
+// after a second reuse.
+func TestResetMatchesFresh(t *testing.T) {
+	for seed := int64(0); seed < 600; seed++ {
+		reused, maxCycles := randomSystem(seed)
+		if _, err := reused.Run(maxCycles); err != nil && !errors.As(err, new(*ErrDeadlock)) {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for round := 1; round <= 2; round++ {
+			reused.Reset()
+			fresh, _ := randomSystem(seed)
+			gotN, gotErr := reused.Run(maxCycles)
+			wantN, wantErr := fresh.Run(maxCycles)
+			if gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("seed %d round %d: reused Run = %d, %v; fresh = %d, %v", seed, round, gotN, gotErr, wantN, wantErr)
+			}
+			// capture drains the channels; the next round's Reset has to
+			// undo that too.
+			if g, w := capture(reused), capture(fresh); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d round %d: reused state differs from fresh:\n got %+v\nwant %+v", seed, round, g, w)
+			}
+		}
+	}
+}

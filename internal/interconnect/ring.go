@@ -147,6 +147,18 @@ func (r *Ring) Arbitrate() {
 	}
 }
 
+// reset zeroes the arbiter's round-robin pointer and every counter, as
+// NewSegmentedRing left them. Attached channels stay attached.
+func (r *Ring) reset() {
+	r.next = 0
+	r.Granted = [2]uint64{}
+	for d := range r.SegBusyBits {
+		clear(r.SegBusyBits[d])
+		clear(r.SegDenied[d])
+	}
+	r.Cycles = 0
+}
+
 // SegmentUtilization returns the fraction of a directed segment's
 // cumulative bit budget that arbitration handed out (0 when the ring never
 // arbitrated). Granted budget overstates carried payload slightly — a

@@ -80,6 +80,8 @@ type System struct {
 	// idleStreak counts consecutive cycles without any firing while
 	// tokens remain pending, for deadlock detection.
 	idleStreak int
+	// ffBuf backs Run's fast-forward buffers.
+	ffBuf []uint64
 }
 
 // DeadlockThreshold is the number of consecutive no-progress cycles (with
@@ -164,6 +166,26 @@ func (s *System) Run(maxCycles uint64) (uint64, error) {
 		ff.observe(s, progress, maxCycles-(s.Cycle-start))
 	}
 	return s.Cycle - start, nil
+}
+
+// Reset puts a system that has run back in the state it was built in, so
+// it can run again instead of being rebuilt: every actor's firings, token
+// sequence and gated cycles, every channel's wire, buffer, credits and
+// counters, every ring's round-robin pointer and counters, and the cycle
+// count go back to zero, and each channel is primed again with as many
+// tokens as it held before it first ran. Actors keep their Work; set it
+// before the next Run.
+func (s *System) Reset() {
+	for _, a := range s.Actors {
+		a.fired, a.seq, a.Gated = 0, 0, 0
+	}
+	for _, c := range s.Channels {
+		c.reset()
+	}
+	for _, r := range s.Rings {
+		r.reset()
+	}
+	s.Cycle, s.idleStreak = 0, 0
 }
 
 // AllDone reports whether every bounded actor completed.

@@ -113,9 +113,10 @@ type Ticket struct {
 	// trace when the enqueueing request carried one, so the worker's
 	// deploy links back to the original gateway submit.
 	TraceID string `json:"trace_id,omitempty"`
-	// span is the ticket's trace segment: opened at admission, ended by
-	// the worker after the deploy. Written before the ticket enters the
-	// queue channel, so the worker's reads are ordered by the channel.
+	// span is the ticket's trace segment: opened at admission, ended and
+	// dropped by the worker after the deploy. Written before the ticket
+	// enters the queue channel, so the worker's reads are ordered by the
+	// channel; the worker clears it under p.mu, where snapshots copy it.
 	span *telemetry.Span
 	// seq is the admission sequence number behind ID; List orders by it.
 	seq uint64
@@ -448,8 +449,12 @@ func (p *AsyncPipeline) run(t *Ticket) {
 	if old, evicted := p.finished.Push(t); evicted {
 		delete(p.tickets, old.ID)
 	}
+	// The tracer keeps what the ended segment recorded; a retained ticket
+	// holding the span too would only keep it alive.
+	sp := t.span
+	t.span = nil
 	p.mu.Unlock()
-	finishSpan(t.span, err)
+	finishSpan(sp, err)
 	if err != nil {
 		p.done[i][1].Inc()
 	} else {

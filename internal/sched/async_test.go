@@ -299,3 +299,42 @@ func TestAsyncTicketRetention(t *testing.T) {
 		t.Fatalf("queued tickets = %+v, want only %s", queued, held.ID)
 	}
 }
+
+// A finished ticket ends its trace segment and lets go of it: the tracer
+// keeps the segment (GET /trace/{id} still finds it), the retained ticket
+// does not.
+func TestTerminalTicketHoldsNoSpan(t *testing.T) {
+	ct := NewController(testCluster())
+	if err := ct.Bitstreams.Store("app1", compileToBitstreams(t, "app1")); err != nil {
+		t.Fatal(err)
+	}
+	p := ct.Async()
+	p.Close()
+	for _, app := range []string{"app1", "no-such-app"} {
+		tk, err := p.Enqueue(context.Background(), app, 0, true, PriorityLatency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.run(<-p.latCh)
+		p.mu.Lock()
+		held, state := p.tickets[tk.ID].span, p.tickets[tk.ID].State
+		p.mu.Unlock()
+		if state != TicketSucceeded && state != TicketFailed {
+			t.Fatalf("%s: ticket %s is %s after run", app, tk.ID, state)
+		}
+		if held != nil {
+			t.Fatalf("%s: terminal ticket %s still holds its span", app, tk.ID)
+		}
+		td, ok := ct.Tracer.Get(tk.TraceID)
+		if !ok {
+			t.Fatalf("%s: trace %s of ticket %s not retained", app, tk.TraceID, tk.ID)
+		}
+		found := false
+		for _, sp := range td.AllSpans {
+			found = found || sp.Name == "deploy.async"
+		}
+		if !found {
+			t.Fatalf("%s: trace %s has no deploy.async segment: %+v", app, tk.TraceID, td.AllSpans)
+		}
+	}
+}

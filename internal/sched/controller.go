@@ -44,8 +44,8 @@ type Controller struct {
 	TSDB *tsdb.DB
 	// log, opts, lat, alertThresholds and dp are set once at construction
 	// (log is internally synchronized, lat's histograms and dp's counters
-	// are atomic), so they live above mu (fields below mu are guarded by
-	// it — see lockcheck).
+	// are atomic, dp's handle table copy-on-write), so they live above mu
+	// (fields below mu are guarded by it — see lockcheck).
 	log             *eventLog
 	opts            Options
 	lat             opLatencies
@@ -110,6 +110,12 @@ type Deployment struct {
 	// MemQuota is the DRAM quota of the app's memory domain, retained so
 	// evacuation can re-provision the domain when the primary board fails.
 	MemQuota uint64
+
+	// dataPlane is what BindDataPlane bound to this placement (the core
+	// stack's execution plan). Only the controller's own record holds it:
+	// clones leave it out, and a relocation or a primary-board migration
+	// drops it, so it lives exactly as long as the placement it binds.
+	dataPlane any
 }
 
 // NewController assembles a controller over a cluster with default options.
@@ -183,6 +189,7 @@ func (d *Deployment) clone() *Deployment {
 	c := *d
 	c.Blocks = append([]cluster.GlobalBlockRef(nil), d.Blocks...)
 	c.Programmed = append([]*bitstream.Bitstream(nil), d.Programmed...)
+	c.dataPlane = nil
 	return &c
 }
 
@@ -408,6 +415,28 @@ func (ct *Controller) Deployment(app string) (*Deployment, bool) {
 	return d.clone(), true
 }
 
+// BindDataPlane returns the value bind made for app's current placement,
+// and false when app is not deployed. bind runs under the controller's
+// lock with the deployment record itself, which it must neither change nor
+// keep, and with the value it returned for this placement before (nil the
+// first time after a deploy, relocation, evacuation or compaction); what it
+// returns is kept on the record until the placement changes or app is
+// undeployed. Execute uses it to build each placement's data plane once.
+func (ct *Controller) BindDataPlane(app string, bind func(dep *Deployment, bound any) (any, error)) (any, bool, error) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	dep, ok := ct.deployed[app]
+	if !ok {
+		return nil, false, nil
+	}
+	v, err := bind(dep, dep.dataPlane)
+	if err != nil {
+		return nil, true, err
+	}
+	dep.dataPlane = v
+	return v, true, nil
+}
+
 // Relocate moves one virtual block of a running application to a specific
 // free physical block without recompilation (Fig. 10's flexible sharing).
 func (ct *Controller) Relocate(app string, vb int, target cluster.GlobalBlockRef) (err error) {
@@ -459,6 +488,7 @@ func (ct *Controller) relocateLocked(app string, vb int, target cluster.GlobalBl
 	dep.Blocks[vb] = target
 	dep.Programmed[vb] = moved
 	dep.MultiFPGA = len(BoardsOf(dep.Blocks)) > 1
+	dep.dataPlane = nil
 	ct.log.add(EventRelocate, app, fmt.Sprintf("vb%d %v → %v", vb, old, target))
 	return nil
 }

@@ -319,6 +319,7 @@ func (ct *Controller) migratePrimaryLocked(dep *Deployment) error {
 	}
 	dep.Primary = best
 	dep.VNIC = vnic
+	dep.dataPlane = nil
 	return nil
 }
 
