@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race faultstress schedsoak soaksmoke lint lint-sarif benchsmoke perfsmoke obssmoke alertsmoke tracesmoke replaysmoke clean
+.PHONY: all build test race faultstress schedsoak soaksmoke lint benchsmoke perfsmoke obssmoke alertsmoke tracesmoke replaysmoke clean
 
 all: build lint test
 
@@ -35,24 +35,17 @@ soaksmoke:
 	$(GO) run -race ./cmd/vitalscenario soak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
 
 # gofmt, vet and the repo's own analyzers. gofmt -l must list nothing:
-# any unformatted file fails the run. Then the per-package checks (lockcheck,
-# mapdeterminism, errwrap, durationliteral) and the whole-program
-# concurrency suite (lockorder, goroutineleak, eventexhaustive,
-# metrichygiene). Known debt lives in .vitallint-baseline.json — one entry
-# today, in cmd/vitalperf, which only a benchmark-defining change may edit;
-# add no others. Anything else fails the run. CI calls this target, so the
+# any unformatted file fails the run. Then the five analyzers: the
+# per-package checks (lockcheck, mapdeterminism) and the whole-program
+# ones (lockorder, eventexhaustive, metrichygiene). Known debt lives in
+# .vitallint-baseline.json — one entry today, in cmd/vitalperf, which only
+# a benchmark-defining change may edit; add no others. Anything else fails the run. CI calls this target, so the
 # two can't drift.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/vitallint -baseline .vitallint-baseline.json ./...
-
-# Same findings as `make lint`, rendered as SARIF 2.1.0 for GitHub code
-# scanning. Always writes vitallint.sarif, even when findings fail the
-# run (CI uploads it either way).
-lint-sarif:
-	$(GO) run ./cmd/vitallint -baseline .vitallint-baseline.json -sarif -out vitallint.sarif ./...
 
 # One-iteration benchmarks: cheap CI guard that the harness still builds
 # and runs, including the serial cold compile (the cold_compile proof

@@ -80,7 +80,6 @@ func main() {
 		// Background alert evaluation: rules with a For duration need
 		// periodic sampling to move pending → firing without a client
 		// polling GET /alerts.
-		//lint:ignore goroutineleak the evaluation loop is daemon-lifetime by design; it dies with the process.
 		go func() {
 			ticker := time.NewTicker(*alertInterval)
 			defer ticker.Stop()
@@ -99,7 +98,6 @@ func main() {
 		// The scrape loop is what turns the point-in-time registry into
 		// queryable history: without it GET /query answers empty.
 		telemetry.RegisterRuntimeMetrics(stack.Controller.Reg)
-		//lint:ignore goroutineleak the scrape loop is daemon-lifetime by design; it dies with the process.
 		go stack.Controller.TSDB.Poll(stack.Controller.Reg, *scrapeInterval, nil)
 	}
 	log.Printf("system controller listening on %s", *listen)

@@ -71,7 +71,6 @@ func main() {
 		// The gateway stores only its own registry; GET /query federates
 		// the backend's history at query time rather than scraping it here.
 		telemetry.RegisterRuntimeMetrics(gw.Reg)
-		//lint:ignore goroutineleak the scrape loop is daemon-lifetime by design; it dies with the process.
 		go gw.DB.Poll(gw.Reg, *scrapeInterval, nil)
 	}
 	log.Printf("admission gateway for %s listening on %s (%d tenants, %.0f/s burst %d, SLO %.4g over %s)",

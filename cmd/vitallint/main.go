@@ -6,17 +6,13 @@
 // Usage:
 //
 //	vitallint ./...
-//	vitallint -analyzers lockorder,goroutineleak ./internal/sched
-//	vitallint -json ./...
-//	vitallint -sarif -out vitallint.sarif ./...
+//	vitallint -analyzers lockorder,eventexhaustive ./internal/sched
 //	vitallint -baseline .vitallint-baseline.json ./...
 //	vitallint -list
 //
-// Output is the conventional file:line:col text form by default; -json
-// emits one object per finding and -sarif emits a SARIF 2.1.0 log in the
-// shape GitHub code scanning consumes. -github adds ::error/::warning
-// workflow annotations (enabled automatically when GITHUB_ACTIONS is
-// set). -baseline filters findings through a checked-in baseline file;
+// Findings print in the conventional file:line:col text form. -github adds
+// ::error workflow annotations (enabled automatically when GITHUB_ACTIONS
+// is set). -baseline filters findings through a checked-in baseline file;
 // -write-baseline regenerates that file from the current findings.
 //
 // Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
@@ -42,14 +38,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	names := fs.String("analyzers", "", "comma-separated analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	github := fs.Bool("github", os.Getenv("GITHUB_ACTIONS") != "", "emit GitHub workflow annotations (default: on under GITHUB_ACTIONS)")
-	outPath := fs.String("out", "", "write the report to this file instead of stdout")
 	baselinePath := fs.String("baseline", "", "filter findings through this baseline file")
 	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from current findings and exit 0")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: vitallint [-analyzers a,b] [-json|-sarif] [-out file] [-baseline file [-write-baseline]] [-github] [-list] <packages>")
+		fmt.Fprintln(stderr, "usage: vitallint [-analyzers a,b] [-baseline file [-write-baseline]] [-github] [-list] <packages>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -61,10 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "vitallint: -json and -sarif are mutually exclusive")
-		return 2
 	}
 	if *writeBaseline && *baselinePath == "" {
 		fmt.Fprintln(stderr, "vitallint: -write-baseline requires -baseline")
@@ -131,43 +120,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags, suppressed = base.Filter(root, diags)
 	}
 
-	out := io.Writer(stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "vitallint:", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
-	}
-
-	switch {
-	case *sarifOut:
-		if err := lint.WriteSARIF(out, root, diags); err != nil {
-			fmt.Fprintln(stderr, "vitallint:", err)
-			return 2
-		}
-	case *jsonOut:
-		if err := lint.WriteJSON(out, root, diags); err != nil {
-			fmt.Fprintln(stderr, "vitallint:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(out, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if *github {
 		for _, d := range diags {
-			kind := "error"
-			if d.Severity == lint.SeverityWarning {
-				kind = "warning"
-			}
 			// ::error file=...,line=...,col=...::message — GitHub renders
 			// these as inline PR annotations.
-			fmt.Fprintf(stderr, "::%s file=%s,line=%d,col=%d::%s: %s\n",
-				kind, relOrSelf(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, escapeAnnotation(d.Message))
+			fmt.Fprintf(stderr, "::error file=%s,line=%d,col=%d::%s: %s\n",
+				relOrSelf(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, escapeAnnotation(d.Message))
 		}
 	}
 	if len(suppressed) > 0 {
@@ -180,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// relOrSelf mirrors lint's SARIF path relativization for annotations.
+// relOrSelf renders path relative to the module root for annotations.
 func relOrSelf(root, path string) string {
 	if rel, ok := strings.CutPrefix(path, root+string(os.PathSeparator)); ok {
 		return rel

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // A baseline is a checked-in snapshot of known findings. Findings that
@@ -97,4 +99,15 @@ func WriteBaseline(w io.Writer, root string, diags []Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(b)
+}
+
+// relPath renders path relative to root with forward slashes, falling
+// back to the path unchanged when it is not under root.
+func relPath(root, path string) string {
+	if root != "" {
+		if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
+			return filepath.ToSlash(rel)
+		}
+	}
+	return filepath.ToSlash(path)
 }

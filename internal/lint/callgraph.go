@@ -19,10 +19,9 @@ import (
 // Function literals are not independent nodes. A literal that is invoked
 // where it appears (an immediately-invoked func, or a defer of a literal)
 // is walked inline as part of its enclosing function, because its body
-// runs on the enclosing goroutine with the enclosing lock state. A literal
-// that escapes — passed as an argument, assigned, or launched with `go` —
-// contributes no synchronous edge; `go` launches are recorded on the edge
-// so goroutineleak can find the spawned body.
+// runs on the enclosing goroutine with the enclosing lock state. The body
+// of a literal that escapes — passed as an argument, assigned, or launched
+// with `go` — is not walked: its calls are not the enclosing function's.
 type CallGraph struct {
 	// nodes maps a function object to its node.
 	nodes map[types.Object]*CallNode
@@ -49,12 +48,6 @@ type CallSite struct {
 	Site *ast.CallExpr
 	// Callee is the resolved target, nil for dynamic calls.
 	Callee *CallNode
-	// Go reports that the call is the operand of a `go` statement: the
-	// callee runs on a fresh goroutine, not under the caller's locks.
-	Go bool
-	// Deferred reports that the call is the operand of a `defer`
-	// statement.
-	Deferred bool
 }
 
 // Name renders the node as pkg.Func or pkg.(Type).Method.
@@ -117,12 +110,10 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					continue
 				}
 				node := g.nodes[obj]
-				walkCalls(pkg.Info, fn.Body, func(call *ast.CallExpr, goStmt, deferred bool) {
+				walkCalls(fn.Body, func(call *ast.CallExpr) {
 					node.Calls = append(node.Calls, CallSite{
-						Site:     call,
-						Callee:   g.NodeOf(CalleeObject(pkg.Info, call)),
-						Go:       goStmt,
-						Deferred: deferred,
+						Site:   call,
+						Callee: g.NodeOf(CalleeObject(pkg.Info, call)),
 					})
 				})
 			}
@@ -138,53 +129,38 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// walkCalls visits every call expression under n in source order,
-// reporting whether each is a plain call, a `go` launch, or deferred.
-// Escaping function literals are not descended into (their bodies do not
-// run here); immediately-invoked literals are.
-func walkCalls(info *types.Info, body ast.Node, visit func(call *ast.CallExpr, goStmt, deferred bool)) {
-	var walk func(n ast.Node, goStmt, deferred bool)
-	walk = func(n ast.Node, goStmt, deferred bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				visit(n.Call, true, false)
-				// Arguments evaluate synchronously; the callee body does
-				// not run on this goroutine.
-				for _, arg := range n.Call.Args {
-					walk(arg, false, false)
+// walkCalls visits every call expression under body in source order, the
+// operands of `go` and `defer` included. Escaping function literals are
+// not descended into (their bodies do not run here); immediately-invoked
+// and deferred literals are.
+func walkCalls(body ast.Node, visit func(call *ast.CallExpr)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			// Only the arguments evaluate on this goroutine; the callee
+			// body, a literal's included, runs on the new one.
+			visit(n.Call)
+			for _, arg := range n.Call.Args {
+				walkCalls(arg, visit)
+			}
+			return false
+		case *ast.CallExpr:
+			visit(n)
+			if lit, ok := n.Fun.(*ast.FuncLit); ok {
+				// Immediately invoked or deferred: the body runs here.
+				for _, arg := range n.Args {
+					walkCalls(arg, visit)
 				}
-				return false
-			case *ast.DeferStmt:
-				visit(n.Call, false, true)
-				for _, arg := range n.Call.Args {
-					walk(arg, false, false)
-				}
-				// A deferred literal's body runs on this goroutine (at
-				// return), with whatever locks are then held: walk it.
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					walk(lit.Body, false, true)
-				}
-				return false
-			case *ast.CallExpr:
-				visit(n, goStmt, deferred)
-				if lit, ok := n.Fun.(*ast.FuncLit); ok {
-					// Immediately invoked: the body runs here.
-					for _, arg := range n.Args {
-						walk(arg, false, false)
-					}
-					walk(lit.Body, goStmt, deferred)
-					return false
-				}
-				return true
-			case *ast.FuncLit:
-				// Escaping literal: body runs elsewhere (or never).
+				walkCalls(lit.Body, visit)
 				return false
 			}
 			return true
-		})
-	}
-	walk(body, false, false)
+		case *ast.FuncLit:
+			// Escaping literal: body runs elsewhere (or never).
+			return false
+		}
+		return true
+	})
 }
 
 // CalleeObject resolves a call expression's static target: a declared

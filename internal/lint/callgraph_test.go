@@ -22,18 +22,14 @@ func TestCallGraphFixture(t *testing.T) {
 		byName[n.Name()] = n
 	}
 
-	type edge struct {
-		callee   string // "" for unresolved
-		goStmt   bool
-		deferred bool
-	}
-	wantEdges := map[string][]edge{
-		"cg.A":     {{callee: "cg.B"}, {callee: "cg.B", goStmt: true}, {callee: "cg.C", deferred: true}},
-		"cg.B":     {{callee: "cg.C"}, {callee: "cg.C"}},
+	// Callee names per call site, "" for unresolved.
+	wantEdges := map[string][]string{
+		"cg.A":     {"cg.B", "cg.B", "cg.C"},
+		"cg.B":     {"cg.C", "cg.C"},
 		"cg.C":     nil,
-		"cg.(T).M": {{callee: "cg.A"}},
-		"cg.(T).N": {{callee: "cg.(T).M"}},
-		"cg.Dyn":   {{callee: ""}},
+		"cg.(T).M": {"cg.A"},
+		"cg.(T).N": {"cg.(T).M"},
+		"cg.Dyn":   {""},
 	}
 	total := 0
 	for name, want := range wantEdges {
@@ -50,9 +46,8 @@ func TestCallGraphFixture(t *testing.T) {
 			if got.Callee != nil {
 				gotCallee = got.Callee.Name()
 			}
-			if gotCallee != w.callee || got.Go != w.goStmt || got.Deferred != w.deferred {
-				t.Errorf("%s call %d = (%q, go=%v, defer=%v), want (%q, go=%v, defer=%v)",
-					name, i, gotCallee, got.Go, got.Deferred, w.callee, w.goStmt, w.deferred)
+			if gotCallee != w {
+				t.Errorf("%s call %d = %q, want %q", name, i, gotCallee, w)
 			}
 		}
 		total += len(want)

@@ -41,7 +41,6 @@ func loadCase(t *testing.T, dir string) ([]*Package, string) {
 func TestGolden(t *testing.T) {
 	cases := []string{
 		"lockcycle", "lockblock", "locks",
-		"leakpos", "leakneg",
 		"exhpos", "exhneg",
 		"metricpos", "metricneg",
 		"baddirective",

@@ -37,17 +37,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// errorIface is the built-in error interface.
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// isErrorType reports whether t implements the error interface.
-func isErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return types.Implements(t, errorIface) || types.Implements(types.NewPointer(t), errorIface)
-}
-
 // receiverObj returns the object of a method's receiver identifier, or nil
 // for anonymous/absent receivers.
 func receiverObj(info *types.Info, fn *ast.FuncDecl) types.Object {

@@ -22,23 +22,19 @@
 //     feed ordered results (slices, printed output) from a map range must
 //     sort, or placement decisions and published figure outputs silently
 //     change between runs.
-//   - errwrap: fmt.Errorf must wrap error operands with %w, not %v/%s, or
-//     errors.Is/As stop working up the Deploy path.
-//   - durationliteral: bare integer literals must not be used as
-//     time.Duration values — 100 means 100 nanoseconds, which is never
-//     what the reconfiguration/timing models intend.
 //   - lockorder: the cross-package lock-acquisition graph must be acyclic,
 //     and no lock may be held across a blocking operation (channel send,
 //     select without default, http.ResponseWriter write, Flush, Sleep).
-//   - goroutineleak: every `go` statement needs a termination path — a
-//     ctx/done-channel select, a return/break out of its loop, or
-//     WaitGroup management.
 //   - eventexhaustive: switches over enum-like constant sets (the audit
 //     EventKind and friends) must cover every declared constant or carry
 //     a default, so new kinds cannot be silently dropped.
 //   - metrichygiene: vital_* metric names must be declared once with one
 //     type and help string, follow the Prometheus suffix conventions, and
 //     every reference must resolve to a declaration.
+//
+// Each one pays for itself: all but lockorder led to code fixes when they
+// landed, and lockorder guards the lock discipline every concurrent layer
+// relies on. Every finding is an error.
 package lint
 
 import (
@@ -46,19 +42,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
-)
-
-// Severity ranks a finding for report output (SARIF level, GitHub
-// annotation kind). Every severity is still a finding: vitallint exits 1
-// on warnings too, so CI can never silently accumulate them.
-type Severity string
-
-// Severities.
-const (
-	SeverityError   Severity = "error"
-	SeverityWarning Severity = "warning"
 )
 
 // Analyzer is one static check. Exactly one of Run (per-package) or
@@ -68,21 +54,11 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Severity classifies the analyzer's findings (empty means error).
-	Severity Severity
 	// Run inspects one package and reports diagnostics through the pass.
 	Run func(*Pass)
 	// RunProgram inspects the whole program (all loaded packages plus the
 	// call graph) and reports diagnostics through the pass.
 	RunProgram func(*ProgramPass)
-}
-
-// severity returns the analyzer's severity, defaulting to error.
-func (a *Analyzer) severity() Severity {
-	if a.Severity == "" {
-		return SeverityError
-	}
-	return a.Severity
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -101,7 +77,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.severity(),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -135,19 +110,6 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.graph
 }
 
-// InfoFor returns the types.Info of the package declaring pos's file, so
-// program analyzers can resolve expressions in any package.
-func (p *Program) InfoFor(file *ast.File) *types.Info {
-	for _, pkg := range p.Packages {
-		for _, f := range pkg.Files {
-			if f == file {
-				return pkg.Info
-			}
-		}
-	}
-	return nil
-}
-
 // ProgramPass carries the whole program through one analyzer.
 type ProgramPass struct {
 	Analyzer *Analyzer
@@ -161,7 +123,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Program.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.severity(),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -170,7 +131,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
-	Severity Severity
 	Message  string
 }
 
@@ -182,8 +142,8 @@ func (d Diagnostic) String() string {
 // All returns every project analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
-		LockCheck, MapDeterminism, ErrWrap, DurationLiteral,
-		LockOrder, GoroutineLeak, EventExhaustive, MetricHygiene,
+		LockCheck, MapDeterminism,
+		LockOrder, EventExhaustive, MetricHygiene,
 	}
 }
 
@@ -212,11 +172,11 @@ func ByName(names string) ([]*Analyzer, error) {
 // sorted by position. Per-package analyzers run once per package;
 // whole-program analyzers run once over all packages (with the shared call
 // graph). Findings on lines carrying (or directly following) a
-// "//lint:ignore <analyzer> <reason>" comment (or the legacy
-// "//vitallint:ignore <analyzer>") are dropped — every suppression is
-// grep-able, so "fix, don't suppress" stays reviewable. A lint:ignore
-// directive without a reason is itself a finding: an unexplained
-// suppression is exactly the drift the linter exists to stop.
+// "//lint:ignore <analyzer> <reason>" comment are dropped — every
+// suppression is grep-able, so "fix, don't suppress" stays reviewable. A
+// directive without a reason, or naming no known analyzer, is itself a
+// finding: an unexplained suppression, or one that suppresses nothing, is
+// exactly the drift the linter exists to stop.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	ignores := ignoreSet{}
@@ -280,7 +240,7 @@ func (s ignoreSet) match(d Diagnostic) bool {
 	}
 	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, line)
-		if names, ok := s[key]; ok && (names[d.Analyzer] || names["all"]) {
+		if s[key][d.Analyzer] {
 			return true
 		}
 	}
@@ -288,64 +248,51 @@ func (s ignoreSet) match(d Diagnostic) bool {
 }
 
 const (
-	legacyIgnoreDirective = "vitallint:ignore"
-	ignoreDirective       = "lint:ignore"
-	ignoreAnalyzerName    = "ignoredirective"
+	ignoreDirective    = "lint:ignore"
+	ignoreAnalyzerName = "ignoredirective"
 )
 
-// collectIgnores scans a package's comments for suppression directives.
-// The canonical form is "//lint:ignore <analyzer>[,<analyzer>] <reason>";
-// the PR 1 form "//vitallint:ignore <analyzer>..." is still honored.
-// Malformed lint:ignore directives (no analyzer, or no reason) are
-// reported as findings rather than silently not suppressing.
+// collectIgnores scans a package's comments for suppression directives of
+// the form "//lint:ignore <analyzer>[,<analyzer>] <reason>". Malformed
+// directives (no analyzer, no reason, or an analyzer All does not name)
+// are reported as findings rather than silently not suppressing.
 func collectIgnores(pkg *Package, set ignoreSet, diags *[]Diagnostic) {
 	report := func(pos token.Pos, format string, args ...interface{}) {
 		*diags = append(*diags, Diagnostic{
 			Pos:      pkg.Fset.Position(pos),
 			Analyzer: ignoreAnalyzerName,
-			Severity: SeverityError,
 			Message:  fmt.Sprintf(format, args...),
 		})
-	}
-	add := func(pos token.Pos, names ...string) {
-		p := pkg.Fset.Position(pos)
-		key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
-		if set[key] == nil {
-			set[key] = map[string]bool{}
-		}
-		for _, n := range names {
-			set[key][n] = true
-		}
 	}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
 				text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
-				switch {
-				case strings.HasPrefix(text, ignoreDirective):
-					rest := strings.TrimSpace(strings.TrimPrefix(text, ignoreDirective))
-					fields := strings.Fields(rest)
-					if len(fields) == 0 {
-						report(c.Pos(), "lint:ignore without an analyzer name (want //lint:ignore <analyzer> <reason>)")
+				rest, ok := strings.CutPrefix(text, ignoreDirective)
+				if !ok {
+					continue
+				}
+				fields := strings.Fields(rest)
+				if len(fields) == 0 {
+					report(c.Pos(), "lint:ignore without an analyzer name (want //lint:ignore <analyzer> <reason>)")
+					continue
+				}
+				if len(fields) < 2 {
+					report(c.Pos(), "lint:ignore %s without a reason (want //lint:ignore <analyzer> <reason>)", fields[0])
+					continue
+				}
+				p := pkg.Fset.Position(c.Pos())
+				key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
+				if set[key] == nil {
+					set[key] = map[string]bool{}
+				}
+				for _, n := range strings.Split(fields[0], ",") {
+					if !slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == n }) {
+						report(c.Pos(), "lint:ignore names unknown analyzer %q (vitallint -list names them)", n)
 						continue
 					}
-					if len(fields) < 2 {
-						report(c.Pos(), "lint:ignore %s without a reason (want //lint:ignore <analyzer> <reason>)", fields[0])
-						continue
-					}
-					add(c.Pos(), strings.Split(fields[0], ",")...)
-				case strings.HasPrefix(text, legacyIgnoreDirective):
-					rest := strings.TrimSpace(strings.TrimPrefix(text, legacyIgnoreDirective))
-					if rest == "" {
-						add(c.Pos(), "all")
-						continue
-					}
-					var names []string
-					for _, n := range strings.Fields(rest) {
-						names = append(names, strings.TrimSuffix(n, ","))
-					}
-					add(c.Pos(), names...)
+					set[key][n] = true
 				}
 			}
 		}

@@ -292,6 +292,9 @@ func (p *AsyncPipeline) Enqueue(ctx context.Context, app string, memQuota uint64
 	t.span = p.ct.Tracer.StartLinked(ctx, "deploy.async",
 		telemetry.String("app", app), telemetry.String("class", string(pr)), telemetry.String("ticket", t.ID))
 	t.TraceID = t.span.TraceID()
+	// Snapshot before the send: once the ticket is in the channel a worker
+	// may run it to a terminal state before this goroutine runs again.
+	snap := *t
 	i := priorityIndex(pr)
 	select {
 	case p.queue(pr) <- t:
@@ -302,7 +305,6 @@ func (p *AsyncPipeline) Enqueue(ctx context.Context, app string, memQuota uint64
 	p.enqueued[i].Inc()
 	p.mu.Lock()
 	p.tickets[t.ID] = t
-	snap := *t
 	p.mu.Unlock()
 	return snap, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 )
@@ -89,6 +90,56 @@ func TestAsyncShedsWhenClassFull(t *testing.T) {
 		t.Fatalf("saturation = %v with a full class, want ~1", sat)
 	}
 	p.Resume()
+}
+
+// TestAsyncEnqueueSnapshotIsQueued holds Enqueue to its contract: the
+// snapshot it returns is the ticket as admitted, never a state a worker
+// reached after the send, and the ticket is indexed before Enqueue
+// returns. Running workers and a deploy that answers at once (the app is
+// already deployed after the first ticket) keep the race window wide.
+func TestAsyncEnqueueSnapshotIsQueued(t *testing.T) {
+	const tickets, enqueuers = 2000, 4
+	ct := NewControllerWithOptions(testCluster(), Options{QueueDepth: tickets, QueueWorkers: 4})
+	defer ct.Close()
+	if err := ct.Bitstreams.Store("app1", compileToBitstreams(t, "app1")); err != nil {
+		t.Fatal(err)
+	}
+	p := ct.Async()
+
+	snaps := make([]Ticket, tickets)
+	errs := make(chan error, enqueuers)
+	var wg sync.WaitGroup
+	for g := 0; g < enqueuers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < tickets; i += enqueuers {
+				tk, err := p.Enqueue(context.Background(), "app1", 1<<20, false, allPriorities[i%2])
+				if err != nil {
+					errs <- err
+					return
+				}
+				snaps[i] = tk
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("enqueue: %v", err)
+	}
+	var notQueued int
+	for _, tk := range snaps {
+		if tk.State != TicketQueued {
+			notQueued++
+		}
+		if _, ok := p.Get(tk.ID); !ok {
+			t.Errorf("ticket %s not retrievable after Enqueue returned", tk.ID)
+		}
+	}
+	if notQueued > 0 {
+		t.Fatalf("%d of %d Enqueue snapshots are not %s", notQueued, tickets, TicketQueued)
+	}
 }
 
 func TestAsyncLatencyDrainsBeforeBatch(t *testing.T) {
