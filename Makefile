@@ -25,13 +25,16 @@ faultstress:
 schedsoak:
 	$(GO) test -race -count=2 -run 'TestDeploySingleBoardRace|TestConcurrentDefragSoak|TestConcurrentDeployRelocateDefrag' ./internal/sched
 
-# Admission-tier soak, shrunk for CI and run under the race detector:
+# Admission-tier soak, shrunk for CI and run under the race detector.
+# First the compile coalescing tests, ten times over: the backend's
+# flight and the gateway submits racing into it. Then the soak itself:
 # gateway + backend in-process, a few dozen tenants over a skewed design
 # mix, asserting compile dedup, audit parity and queue backpressure. The
 # latency ceilings are relaxed relative to the full acceptance run
 # (`go run ./cmd/vitalscenario soak` with defaults) because the race
 # detector and shared CI runners tax wall clock, not correctness.
 soaksmoke:
+	$(GO) test -race -count=10 -run 'FlightGroup|Coalesce|Singleflight' ./internal/core ./internal/gateway
 	$(GO) run -race ./cmd/vitalscenario soak -tenants 40 -ops 80 -concurrency 8 -p99 50ms -submit-p99 3s
 
 # gofmt, vet and the repo's own analyzers. gofmt -l must list nothing:

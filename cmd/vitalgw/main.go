@@ -1,8 +1,9 @@
 // Command vitalgw runs the admission gateway in front of a vitald
 // backend: bearer-token tenant auth, per-tenant token-bucket rate
-// limiting, singleflight compile dedup keyed by the content-addressed
-// design key, and forwarding into the backend's bounded async deploy
-// pipeline.
+// limiting, one backend compile per tenant instance (the backend
+// coalesces concurrent compiles of one design), and forwarding into the
+// backend's bounded async deploy pipeline. A malformed -backend URL
+// fails at start; an unreachable backend shows up as 502 answers.
 //
 // Usage:
 //

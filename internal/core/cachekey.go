@@ -10,22 +10,19 @@ import (
 	"vital/internal/netlist"
 )
 
-// CompileParams are the stack parameters that, together with a design's
+// compileParams are the stack parameters that, together with a design's
 // structure, determine the compiled artifacts — everything the design key
-// hashes besides the design itself. The admission gateway fetches them
-// from the backend (GET /compileparams) so it can compute the same
-// content-addressed key the backend's cache uses, without compiling
-// anything.
-type CompileParams struct {
-	BlockCapacity netlist.Resources `json:"block_capacity"`
-	PartitionSeed int64             `json:"partition_seed"`
-	MaxBlocks     int               `json:"max_blocks"`
-	Shape         fpga.BlockShape   `json:"shape"`
+// hashes besides the design itself.
+type compileParams struct {
+	BlockCapacity netlist.Resources
+	PartitionSeed int64
+	MaxBlocks     int
+	Shape         fpga.BlockShape
 }
 
-// CompileParams returns this stack's compile parameters.
-func (s *Stack) CompileParams() CompileParams {
-	return CompileParams{
+// params returns this stack's compile parameters.
+func (s *Stack) params() compileParams {
+	return compileParams{
 		BlockCapacity: s.BlockCapacity,
 		PartitionSeed: partitionSeed,
 		MaxBlocks:     s.MaxBlocksPerApp,
@@ -33,7 +30,7 @@ func (s *Stack) CompileParams() CompileParams {
 	}
 }
 
-// DesignKey hashes a Programming Layer design plus compile parameters into
+// designKey hashes a Programming Layer design plus compile parameters into
 // the compile cache's key, usable *before* synthesis. Anything that can
 // change the compiled artifacts must be hashed here; anything that cannot,
 // must not be. Synthesis is deterministic in the design's structure, so
@@ -44,11 +41,10 @@ func (s *Stack) CompileParams() CompileParams {
 // canonicalized to first-occurrence indices so only the *grouping* of
 // operators into CDFG blocks is hashed, not the label text.
 //
-// The same property is what makes the key the admission gateway's
-// coalescing handle: N tenants submitting the same accelerator under N
-// different names map onto one key, one in-flight compile, one cache
-// entry.
-func DesignKey(d *hls.Design, p CompileParams) bitstream.CacheKey {
+// The same property is what makes the key CompileSpec's coalescing
+// handle: N tenants submitting the same accelerator under N different
+// names map onto one key, one in-flight compile, one cache entry.
+func designKey(d *hls.Design, p compileParams) bitstream.CacheKey {
 	w := keyWriter{buf: make([]byte, 0, 4096)}
 	loopIdx := make(map[string]int)
 	w.line("ops", len(d.Ops))
@@ -89,7 +85,7 @@ func (w *keyWriter) line(tag string, vals ...int) {
 // params writes the compile parameters the key ends with: the
 // virtual-block capacity, the partitioner seed and block search bound, and
 // the physical block geometry.
-func (w *keyWriter) params(p CompileParams) {
+func (w *keyWriter) params(p compileParams) {
 	c := p.BlockCapacity
 	w.line("capacity", c.LUTs, c.DFFs, c.DSPs, c.BRAMKb)
 	w.buf = append(w.buf, "seed "...)
@@ -108,7 +104,8 @@ func (w *keyWriter) sum() bitstream.CacheKey {
 	return sha256.Sum256(w.buf)
 }
 
-// designKey is DesignKey under this stack's own parameters.
+// designKey is the package-level designKey under this stack's own
+// parameters.
 func (s *Stack) designKey(d *hls.Design) bitstream.CacheKey {
-	return DesignKey(d, s.CompileParams())
+	return designKey(d, s.params())
 }

@@ -13,10 +13,10 @@ import (
 	"vital/internal/workload"
 )
 
-// referenceDesignKey is DesignKey as written before the shared key
+// referenceDesignKey is designKey as written before the shared key
 // renderer, one fmt.Fprintf per line: the reference model the renderer's
 // bytes are compared with.
-func referenceDesignKey(d *hls.Design, p CompileParams) bitstream.CacheKey {
+func referenceDesignKey(d *hls.Design, p compileParams) bitstream.CacheKey {
 	h := sha256.New()
 	loopIdx := make(map[string]int)
 	fmt.Fprintf(h, "ops %d\n", len(d.Ops))
@@ -74,20 +74,20 @@ func netlistStructure(n *netlist.Netlist) [sha256.Size]byte {
 	return k
 }
 
-// checkDesignKey fails the test unless DesignKey matches the reference
+// checkDesignKey fails the test unless designKey matches the reference
 // model on d under p.
-func checkDesignKey(t *testing.T, what string, d *hls.Design, p CompileParams) {
+func checkDesignKey(t *testing.T, what string, d *hls.Design, p compileParams) {
 	t.Helper()
-	if got, want := DesignKey(d, p), referenceDesignKey(d, p); got != want {
-		t.Fatalf("%s: DesignKey %s, reference %s", what, got, want)
+	if got, want := designKey(d, p), referenceDesignKey(d, p); got != want {
+		t.Fatalf("%s: designKey %s, reference %s", what, got, want)
 	}
 }
 
 // stackParams returns a default stack's compile parameters.
-func stackParams() CompileParams {
+func stackParams() compileParams {
 	s := NewStack(nil)
 	defer s.Controller.Close()
-	return s.CompileParams()
+	return s.params()
 }
 
 // TestKeysMatchReferenceTable2 compares the design key with its fmt
@@ -117,7 +117,7 @@ func TestKeysMatchReferenceRandom(t *testing.T) {
 		for i := rng.Intn(60); i > 0; i-- {
 			d.Conns = append(d.Conns, hls.Conn{From: hls.OpID(rng.Intn(len(d.Ops))), To: hls.OpID(rng.Intn(len(d.Ops))), Width: signed(1 << 16)})
 		}
-		p := CompileParams{
+		p := compileParams{
 			BlockCapacity: netlist.Resources{LUTs: signed(1 << 30), DFFs: rng.Int(), DSPs: rng.Intn(9999), BRAMKb: rng.Intn(1 << 16)},
 			PartitionSeed: rng.Int63() - rng.Int63(),
 			MaxBlocks:     signed(64),
@@ -144,8 +144,8 @@ func keyDesign(name string) *hls.Design {
 	return d
 }
 
-func keyParams() CompileParams {
-	return CompileParams{
+func keyParams() compileParams {
+	return compileParams{
 		BlockCapacity: netlist.Resources{LUTs: 100, DFFs: 200, DSPs: 10, BRAMKb: 72},
 		PartitionSeed: 11,
 		MaxBlocks:     8,
@@ -161,20 +161,20 @@ func keyParams() CompileParams {
 // does, because it changes the CDFG blocks synthesis builds.
 func TestDesignKeyIgnoresNames(t *testing.T) {
 	p := keyParams()
-	base := DesignKey(keyDesign("tenant1-app"), p)
+	base := designKey(keyDesign("tenant1-app"), p)
 
 	renamed := keyDesign("tenant2-app")
 	for i := range renamed.Ops {
 		renamed.Ops[i].Name = fmt.Sprintf("renamed%d", i)
 		renamed.Ops[i].Loop = "L-" + renamed.Ops[i].Loop
 	}
-	if DesignKey(renamed, p) != base {
+	if designKey(renamed, p) != base {
 		t.Fatal("names must not split the cache: structurally identical designs keyed differently")
 	}
 
 	regrouped := keyDesign("tenant1-app")
 	regrouped.Ops[2].Loop = "layer2" // pool leaves conv's loop
-	if DesignKey(regrouped, p) == base {
+	if designKey(regrouped, p) == base {
 		t.Fatal("regrouping operators into loops did not change the key")
 	}
 }
@@ -182,34 +182,34 @@ func TestDesignKeyIgnoresNames(t *testing.T) {
 // TestDesignKeySensitivity: every field that reaches the compiled
 // artifacts changes the key.
 func TestDesignKeySensitivity(t *testing.T) {
-	base := DesignKey(keyDesign("app"), keyParams())
+	base := designKey(keyDesign("app"), keyParams())
 	for _, tc := range []struct {
 		what   string
-		mutate func(d *hls.Design, p *CompileParams)
+		mutate func(d *hls.Design, p *compileParams)
 	}{
-		{"op kind", func(d *hls.Design, p *CompileParams) { d.Ops[2].Kind = hls.OpActivation }},
-		{"op LUTs", func(d *hls.Design, p *CompileParams) { d.Ops[1].Budget.LUTs++ }},
-		{"op DFFs", func(d *hls.Design, p *CompileParams) { d.Ops[1].Budget.DFFs++ }},
-		{"op DSPs", func(d *hls.Design, p *CompileParams) { d.Ops[1].Budget.DSPs++ }},
-		{"op BRAMs", func(d *hls.Design, p *CompileParams) { d.Ops[1].Budget.BRAMs++ }},
-		{"extra op", func(d *hls.Design, p *CompileParams) { d.AddOp(hls.OpGlue, "glue", "io", hls.Budget{LUTs: 1}) }},
-		{"conn from", func(d *hls.Design, p *CompileParams) { d.Conns[2].From = 1 }},
-		{"conn to", func(d *hls.Design, p *CompileParams) { d.Conns[0].To = 2 }},
-		{"conn width", func(d *hls.Design, p *CompileParams) { d.Conns[1].Width = 256 }},
-		{"extra conn", func(d *hls.Design, p *CompileParams) { d.Connect(0, 3, 8) }},
-		{"capacity LUTs", func(d *hls.Design, p *CompileParams) { p.BlockCapacity.LUTs++ }},
-		{"capacity DFFs", func(d *hls.Design, p *CompileParams) { p.BlockCapacity.DFFs++ }},
-		{"capacity DSPs", func(d *hls.Design, p *CompileParams) { p.BlockCapacity.DSPs++ }},
-		{"capacity BRAM", func(d *hls.Design, p *CompileParams) { p.BlockCapacity.BRAMKb++ }},
-		{"partition seed", func(d *hls.Design, p *CompileParams) { p.PartitionSeed++ }},
-		{"block search bound", func(d *hls.Design, p *CompileParams) { p.MaxBlocks++ }},
-		{"shape rows", func(d *hls.Design, p *CompileParams) { p.Shape.Rows++ }},
-		{"shape column kind", func(d *hls.Design, p *CompileParams) { p.Shape.Columns[1].Kind = fpga.ColBRAM }},
-		{"shape column sites", func(d *hls.Design, p *CompileParams) { p.Shape.Columns[0].SitesPerDie++ }},
+		{"op kind", func(d *hls.Design, p *compileParams) { d.Ops[2].Kind = hls.OpActivation }},
+		{"op LUTs", func(d *hls.Design, p *compileParams) { d.Ops[1].Budget.LUTs++ }},
+		{"op DFFs", func(d *hls.Design, p *compileParams) { d.Ops[1].Budget.DFFs++ }},
+		{"op DSPs", func(d *hls.Design, p *compileParams) { d.Ops[1].Budget.DSPs++ }},
+		{"op BRAMs", func(d *hls.Design, p *compileParams) { d.Ops[1].Budget.BRAMs++ }},
+		{"extra op", func(d *hls.Design, p *compileParams) { d.AddOp(hls.OpGlue, "glue", "io", hls.Budget{LUTs: 1}) }},
+		{"conn from", func(d *hls.Design, p *compileParams) { d.Conns[2].From = 1 }},
+		{"conn to", func(d *hls.Design, p *compileParams) { d.Conns[0].To = 2 }},
+		{"conn width", func(d *hls.Design, p *compileParams) { d.Conns[1].Width = 256 }},
+		{"extra conn", func(d *hls.Design, p *compileParams) { d.Connect(0, 3, 8) }},
+		{"capacity LUTs", func(d *hls.Design, p *compileParams) { p.BlockCapacity.LUTs++ }},
+		{"capacity DFFs", func(d *hls.Design, p *compileParams) { p.BlockCapacity.DFFs++ }},
+		{"capacity DSPs", func(d *hls.Design, p *compileParams) { p.BlockCapacity.DSPs++ }},
+		{"capacity BRAM", func(d *hls.Design, p *compileParams) { p.BlockCapacity.BRAMKb++ }},
+		{"partition seed", func(d *hls.Design, p *compileParams) { p.PartitionSeed++ }},
+		{"block search bound", func(d *hls.Design, p *compileParams) { p.MaxBlocks++ }},
+		{"shape rows", func(d *hls.Design, p *compileParams) { p.Shape.Rows++ }},
+		{"shape column kind", func(d *hls.Design, p *compileParams) { p.Shape.Columns[1].Kind = fpga.ColBRAM }},
+		{"shape column sites", func(d *hls.Design, p *compileParams) { p.Shape.Columns[0].SitesPerDie++ }},
 	} {
 		d, p := keyDesign("app"), keyParams()
 		tc.mutate(d, &p)
-		if DesignKey(d, p) == base {
+		if designKey(d, p) == base {
 			t.Errorf("%s did not change the key", tc.what)
 		}
 	}
@@ -235,8 +235,8 @@ func TestDesignKeyStandsForNetlistTable2(t *testing.T) {
 					renamed.Ops[j].Name = fmt.Sprintf("op%d", j)
 					renamed.Ops[j].Loop = "renamed." + renamed.Ops[j].Loop
 				}
-				keys[i] = DesignKey(d, p)
-				if got := DesignKey(renamed, p); got != keys[i] {
+				keys[i] = designKey(d, p)
+				if got := designKey(renamed, p); got != keys[i] {
 					t.Fatalf("renamed copy keyed %s, original %s", got, keys[i])
 				}
 				a, err := hls.Synthesize(d)

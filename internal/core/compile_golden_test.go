@@ -58,7 +58,7 @@ func compileGoldenOf(s *Stack, d *hls.Design, app *CompiledApp) compileGolden {
 	tools := app.Intermediates
 	g := compileGolden{
 		Design:          app.Name,
-		DesignKey:       DesignKey(d, s.CompileParams()).String(),
+		DesignKey:       s.designKey(d).String(),
 		NetlistSHA256:   netlistDigest(tools.Netlist),
 		NumBlocks:       tools.Partition.NumBlocks,
 		CutWidth:        tools.Partition.CutWidth,

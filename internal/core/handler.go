@@ -10,6 +10,20 @@ import (
 	"vital/internal/telemetry"
 )
 
+// compileResponse is the body POST /compile answers with. Coalesced
+// reports that the call waited on another caller's in-flight compile of
+// the same design and was then served from the cache.
+type compileResponse struct {
+	App       string  `json:"app"`
+	Blocks    int     `json:"blocks"`
+	CacheHit  bool    `json:"cache_hit"`
+	Coalesced bool    `json:"coalesced"`
+	Design    string  `json:"design"`
+	DesignKey string  `json:"design_key"`
+	FminMHz   float64 `json:"fmin_mhz"`
+	WallMs    float64 `json:"wall_ms"`
+}
+
 // executeResponse is the body POST /execute answers with.
 type executeResponse struct {
 	App   string          `json:"app"`
@@ -24,17 +38,17 @@ type executeResponse struct {
 // same vital_http_request_seconds / vital_http_requests_total series as
 // the rest of the surface.
 //
-//	GET  /compileparams → the stack's compile parameters, so a front door
-//	                      can compute design keys byte-identical to the
-//	                      backend's compile cache without compiling
 //	POST /compile {design, app} → compile a Table 2 workload spec
 //	                      ("<benchmark>-<S|M|L>") under an app name
-//	                      (default: the spec string). Idempotent per
-//	                      (app, design): repeats return the registered
-//	                      artifacts, and a known design under a new name
-//	                      is a cache hit (rebrand, no tools run). Errors:
-//	                      400 for a bad spec, 409 when the name is bound
-//	                      to a different design.
+//	                      (default: the spec string) and answer its
+//	                      design_key. Idempotent per (app, design):
+//	                      repeats return the registered artifacts, and a
+//	                      known design under a new name is a cache hit
+//	                      (rebrand, no tools run). Concurrent calls for
+//	                      one new design run one compile; the others
+//	                      answer coalesced: true. Errors: 400 for a bad
+//	                      spec, 409 when the name is bound to a
+//	                      different design.
 //	POST /execute {app, tokens} → run a compiled, deployed app on the
 //	                      cycle-level interconnect model and report its
 //	                      ExecutionStats. Errors: 400 more than
@@ -46,10 +60,6 @@ func NewStackHandler(s *Stack) http.Handler {
 		mux.Handle(pattern, telemetry.InstrumentRoute(s.Controller.Reg, s.Controller.Tracer, pattern, h))
 	}
 
-	handle("GET /compileparams", func(w http.ResponseWriter, r *http.Request) {
-		httpapi.WriteJSON(w, http.StatusOK, s.CompileParams())
-	})
-
 	handle("POST /compile", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Design string `json:"design"`
@@ -59,7 +69,7 @@ func NewStackHandler(s *Stack) http.Handler {
 			httpapi.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		app, err := s.CompileSpec(r.Context(), req.Design, req.App)
+		app, coalesced, err := s.compileSpec(r.Context(), req.Design, req.App)
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.Is(err, ErrDesignConflict) {
@@ -69,14 +79,15 @@ func NewStackHandler(s *Stack) http.Handler {
 			return
 		}
 		dkey, _ := s.DesignKeyOf(app.Name)
-		httpapi.WriteJSON(w, http.StatusOK, map[string]interface{}{
-			"app":        app.Name,
-			"design":     req.Design,
-			"blocks":     app.Blocks(),
-			"cache_hit":  app.CacheHit,
-			"fmin_mhz":   app.FminMHz,
-			"wall_ms":    float64(app.Wall.Microseconds()) / 1e3,
-			"design_key": dkey.String(),
+		httpapi.WriteJSON(w, http.StatusOK, &compileResponse{
+			App:       app.Name,
+			Blocks:    app.Blocks(),
+			CacheHit:  app.CacheHit,
+			Coalesced: coalesced,
+			Design:    req.Design,
+			DesignKey: dkey.String(),
+			FminMHz:   app.FminMHz,
+			WallMs:    float64(app.Wall.Microseconds()) / 1e3,
 		})
 	})
 

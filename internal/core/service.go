@@ -34,14 +34,24 @@ var (
 // returns the registered artifacts without compiling, and even a cold
 // repeat of the same *design* under a new name is served from the
 // controller's content-addressed compile cache — a hash, a lookup, and a
-// rebranding clone. Re-binding an existing name to a structurally
+// rebranding clone. Concurrent compiles of one design under different
+// names coalesce: one caller runs the flow and fills the cache while the
+// others wait, then take the cache-hit path, so N racing names cost one
+// miss and N−1 hits. Re-binding an existing name to a structurally
 // different design fails with ErrDesignConflict. The registry keeps, and
 // every call returns, the served part of the compile only: no netlist,
 // partition or P&R result outlives the compile that made it.
 func (s *Stack) CompileSpec(ctx context.Context, design, appName string) (*CompiledApp, error) {
+	app, _, err := s.compileSpec(ctx, design, appName)
+	return app, err
+}
+
+// compileSpec is CompileSpec, also reporting whether the call waited on
+// another caller's in-flight compile of the same design.
+func (s *Stack) compileSpec(ctx context.Context, design, appName string) (app *CompiledApp, coalesced bool, err error) {
 	spec, err := workload.ParseSpec(design)
 	if err != nil {
-		return nil, fmt.Errorf("core: compile spec: %w", err)
+		return nil, false, fmt.Errorf("core: compile spec: %w", err)
 	}
 	if appName == "" {
 		appName = design
@@ -54,17 +64,25 @@ func (s *Stack) CompileSpec(ctx context.Context, design, appName string) (*Compi
 	if reg, ok := s.apps[appName]; ok {
 		s.mu.Unlock()
 		if reg.dkey == dkey {
-			return reg.app, nil
+			return reg.app, false, nil
 		}
-		return nil, fmt.Errorf("core: app %q: %w", appName, ErrDesignConflict)
+		return nil, false, fmt.Errorf("core: app %q: %w", appName, ErrDesignConflict)
 	}
 	s.mu.Unlock()
 
-	compiled, err := s.compile(ctx, d, dkey, CompileOptions{})
-	if err != nil {
-		return nil, err
+	var compiled *CompiledApp
+	coalesced = s.flights.Do(dkey, func() {
+		compiled, err = s.compile(ctx, d, dkey, CompileOptions{})
+	})
+	if coalesced {
+		// The leader's compile filled the cache, so this is a hit. Had it
+		// failed, this compiles under the caller's own context.
+		compiled, err = s.compile(ctx, d, dkey, CompileOptions{})
 	}
-	app := compiled.cloneFor(appName)
+	if err != nil {
+		return nil, coalesced, err
+	}
+	app = compiled.cloneFor(appName)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -74,12 +92,12 @@ func (s *Stack) CompileSpec(ctx context.Context, design, appName string) (*Compi
 		// the bitstream database's Store replaces idempotently), so return
 		// the registered copy. Different design: the name is taken.
 		if reg.dkey == dkey {
-			return reg.app, nil
+			return reg.app, coalesced, nil
 		}
-		return nil, fmt.Errorf("core: app %q: %w", appName, ErrDesignConflict)
+		return nil, coalesced, fmt.Errorf("core: app %q: %w", appName, ErrDesignConflict)
 	}
 	s.apps[appName] = &registeredApp{app: app, dkey: dkey}
-	return app, nil
+	return app, coalesced, nil
 }
 
 // App returns a named app from the registry.

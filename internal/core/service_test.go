@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"vital/internal/telemetry"
@@ -259,5 +261,67 @@ func TestExecuteRejectsTooManyTokens(t *testing.T) {
 	}
 	if reflect.DeepEqual(observed(), before) || domain.Stats() == beforeMem {
 		t.Fatal("an accepted execute moved neither the data-plane series nor the app's memory")
+	}
+}
+
+// Two concurrent POST /compile calls for one new design under two names
+// run one compile: one cache miss, one hit, exactly one answer coalesced,
+// and both instances share the compiled frames.
+func TestCompileCoalescesConcurrentNames(t *testing.T) {
+	s := NewStack(nil)
+	defer s.Controller.Close()
+	srv := httptest.NewServer(NewStackHandler(s))
+	defer srv.Close()
+
+	names := []string{"a.lenet-S", "b.lenet-S"}
+	answers := make([]compileResponse, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			raw, _ := json.Marshal(map[string]string{"design": "lenet-S", "app": name})
+			resp, err := http.Post(srv.URL+"/compile", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&answers[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("compile %s: %v", names[i], err)
+		}
+	}
+
+	if cs := s.Controller.CacheStats(); cs.Misses != 1 || cs.Hits != 1 {
+		t.Fatalf("cache misses %d, hits %d for two concurrent names, want 1 and 1", cs.Misses, cs.Hits)
+	}
+	if answers[0].Coalesced == answers[1].Coalesced {
+		t.Fatalf("coalesced answers %v and %v, want exactly one true", answers[0].Coalesced, answers[1].Coalesced)
+	}
+	if answers[0].DesignKey == "" || answers[0].DesignKey != answers[1].DesignKey {
+		t.Fatalf("design keys %q and %q, want one", answers[0].DesignKey, answers[1].DesignKey)
+	}
+	a, okA := s.App(names[0])
+	b, okB := s.App(names[1])
+	if !okA || !okB {
+		t.Fatal("an instance is not registered")
+	}
+	if a.Blocks() != b.Blocks() {
+		t.Fatalf("instances have %d and %d blocks", a.Blocks(), b.Blocks())
+	}
+	for i := range a.Bitstreams {
+		if &a.Bitstreams[i].Frames[0] != &b.Bitstreams[i].Frames[0] {
+			t.Fatalf("vb%d: frames copied, want shared between the instances", i)
+		}
 	}
 }

@@ -34,6 +34,8 @@ type Stack struct {
 	// MaxBlocksPerApp bounds the compilation-layer block search.
 	MaxBlocksPerApp int
 
+	// flights coalesces CompileSpec's concurrent compiles of one design.
+	flights flightGroup
 	// mu guards the fields below — the named-app registry the serving
 	// tier (CompileSpec/ExecuteByName and the HTTP handler) maintains.
 	mu   sync.Mutex
@@ -203,7 +205,7 @@ func (s *Stack) Compile(d *hls.Design) (*CompiledApp, error) {
 // bit-identical whatever the worker count.
 //
 // Before doing any work the controller's compile cache is consulted under
-// the design key (DesignKey): the design's operator-graph structure plus
+// the design key (designKey): the design's operator-graph structure plus
 // the compile parameters (block capacity, partition seed, block search
 // bound, grid shape — never a name). Synthesis is deterministic, so the key
 // over its input is as good as one over its output, and recompiling a

@@ -1,11 +1,11 @@
 // Package gateway is the admission tier in front of a ViTAL backend
 // (vitald): it authenticates tenants, applies per-tenant token-bucket
-// rate limits, coalesces identical compile requests onto one in-flight
-// backend compile (singleflight keyed by the content-addressed design
-// key), and forwards deployments into the backend's bounded async
-// pipeline. N tenants submitting the same Table 2 design pay for one
-// synthesis; everyone else shares the cached bitstream via a rebranding
-// clone.
+// rate limits, compiles each tenant's instance of a design on the backend
+// once, and forwards deployments into the backend's bounded async
+// pipeline. The backend owns the design key and coalesces concurrent
+// compiles of one design, so N tenants submitting the same Table 2 design
+// pay for one synthesis; everyone else shares the cached bitstream via a
+// rebranding clone.
 package gateway
 
 import (
@@ -15,13 +15,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"vital/internal/bitstream"
-	"vital/internal/core"
 	"vital/internal/httpapi"
 	"vital/internal/telemetry"
 	"vital/internal/telemetry/tsdb"
@@ -62,10 +61,6 @@ type Config struct {
 type Gateway struct {
 	cfg    Config
 	client *http.Client
-	// params are the backend's compile parameters, fetched once at
-	// startup so design keys computed here are byte-identical to the
-	// backend compile cache's.
-	params core.CompileParams
 	// Reg is the gateway's own telemetry registry (vital_gateway_* and
 	// the per-tenant vital_tenant_* RED series).
 	Reg *telemetry.Registry
@@ -81,8 +76,7 @@ type Gateway struct {
 	// slos holds one error-budget tracker per tenant.
 	slos *telemetry.SLOSet
 
-	flights flightGroup
-	limits  *limiterSet
+	limits *limiterSet
 
 	admitHist    *telemetry.Histogram
 	coalesceHits *telemetry.Counter
@@ -90,40 +84,34 @@ type Gateway struct {
 	authFailures *telemetry.Counter
 	backendShed  *telemetry.Counter
 
-	// mu guards the fields below.
+	// mu guards the field below.
 	mu sync.Mutex
-	// designs records design keys the backend has compiled (key → spec):
-	// a hit is the warm path — no flight, no backend compile, straight to
-	// the per-tenant instance.
-	designs map[bitstream.CacheKey]string
-	// apps records per-tenant instance app names already compiled on the
-	// backend, so repeat submissions skip the instance compile too.
-	apps map[string]bool
-	// keys memoises the design key of every spec workload.ParseSpec has
-	// accepted (spec → key). Only the 21 Table 2 specs parse, so it needs
-	// no eviction.
-	keys map[string]bitstream.CacheKey
+	// apps maps each per-tenant instance the backend has compiled
+	// ("<tenant>.<design>") to the design key its /compile answered, so
+	// repeat submissions skip the compile round trip.
+	apps map[string]string
 }
 
-// New builds a gateway over a running backend. It fetches the backend's
-// compile parameters (GET /compileparams) so admission-side design keys
-// match the backend's compile cache exactly.
+// New builds a gateway in front of the backend at cfg.Backend, which must
+// be an http or https URL with a host. New does not contact the backend:
+// an unreachable one answers requests with 502.
 func New(cfg Config) (*Gateway, error) {
+	if u, err := url.Parse(cfg.Backend); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return nil, fmt.Errorf("gateway: backend %q is not an http(s) URL with a host", cfg.Backend)
+	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	g := &Gateway{
-		cfg:     cfg,
-		client:  client,
-		Reg:     telemetry.NewRegistry(),
-		Tracer:  telemetry.NewTracer(0),
-		Alerts:  telemetry.NewAlertEngine(nil),
-		DB:      tsdb.New(tsdb.Options{}),
-		limits:  newLimiterSet(cfg.Rate, cfg.Burst),
-		designs: map[bitstream.CacheKey]string{},
-		apps:    map[string]bool{},
-		keys:    map[string]bitstream.CacheKey{},
+		cfg:    cfg,
+		client: client,
+		Reg:    telemetry.NewRegistry(),
+		Tracer: telemetry.NewTracer(0),
+		Alerts: telemetry.NewAlertEngine(nil),
+		DB:     tsdb.New(tsdb.Options{}),
+		limits: newLimiterSet(cfg.Rate, cfg.Burst),
+		apps:   map[string]string{},
 	}
 	objective := telemetry.SLOObjective{Target: cfg.SLOTarget, Window: cfg.SLOWindow}
 	if objective.Target == 0 {
@@ -142,34 +130,17 @@ func New(cfg Config) (*Gateway, error) {
 		return float64(g.Tracer.Evicted())
 	})
 	g.DB.Register(g.Reg)
-	resp, err := client.Get(cfg.Backend + "/compileparams")
-	if err != nil {
-		return nil, fmt.Errorf("gateway: fetching backend compile params: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("gateway: backend /compileparams: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&g.params); err != nil {
-		return nil, fmt.Errorf("gateway: decoding backend compile params: %w", err)
-	}
 
 	g.admitHist = g.Reg.Histogram("vital_gateway_admission_seconds",
-		"Wall time of POST /submit: auth, rate limit, key, compile (or coalesce), enqueue.", nil)
+		"Wall time of POST /submit: auth, rate limit, instance compile (or coalesce), enqueue.", nil)
 	g.coalesceHits = g.Reg.Counter("vital_gateway_coalesce_hits_total",
-		"Submissions that coalesced onto another tenant's in-flight compile of the same design.")
+		"Submissions whose backend compile coalesced onto another caller's in-flight compile of the same design.")
 	g.rateLimited = g.Reg.Counter("vital_gateway_rate_limited_total",
 		"Submissions rejected 429 by the per-tenant token bucket.")
 	g.authFailures = g.Reg.Counter("vital_gateway_auth_failures_total",
 		"Requests rejected 401 for a missing or unknown bearer token.")
 	g.backendShed = g.Reg.Counter("vital_gateway_backend_shed_total",
 		"Deploy forwards the backend's bounded queue shed with 429.")
-	g.Reg.GaugeFunc("vital_gateway_known_designs",
-		"Distinct design keys the gateway has seen compiled on the backend.", func() float64 {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			return float64(len(g.designs))
-		})
 	return g, nil
 }
 
@@ -192,9 +163,6 @@ type submitRequest struct {
 	// MemQuotaBytes is passed through to the deploy (0 = backend
 	// default).
 	MemQuotaBytes uint64 `json:"mem_quota_bytes"`
-	// Tokens, when nonzero, is remembered in the response for the
-	// client's later /execute call; the gateway does not act on it.
-	Tokens uint64 `json:"tokens"`
 }
 
 // submitResponse is the 202 POST /submit answer.
@@ -203,13 +171,14 @@ type submitResponse struct {
 	App       string `json:"app"`
 	Design    string `json:"design"`
 	DesignKey string `json:"design_key"`
-	// ColdCompile reports that this submission waited on any backend
-	// compile round trip — the shared design compile (as leader or
-	// coalesced follower) or the tenant's first instance rebrand; false
-	// is the steady-state path the p99 admission target applies to.
+	// ColdCompile reports that this submission made the tenant's first
+	// backend compile round trip for the design — a full compile, a
+	// coalesced wait or a cache-hit rebrand; false is the steady-state
+	// path the p99 admission target applies to.
 	ColdCompile bool `json:"cold_compile"`
-	// Coalesced reports this submission shared another caller's
-	// in-flight compile rather than issuing its own.
+	// Coalesced reports that the backend compile waited on another
+	// caller's in-flight compile of the same design rather than running
+	// its own.
 	Coalesced bool            `json:"coalesced"`
 	Ticket    json.RawMessage `json:"ticket"`
 	// TraceID names the submit's end-to-end trace: GET /trace/{id} on
@@ -218,21 +187,38 @@ type submitResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// compileRequest is the backend's POST /compile body, and
+// compileAnswer the part of its answer the gateway reads.
+type (
+	compileRequest struct {
+		App    string `json:"app"`
+		Design string `json:"design"`
+	}
+	compileAnswer struct {
+		DesignKey string `json:"design_key"`
+		Coalesced bool   `json:"coalesced"`
+	}
+)
+
 // compileOnBackend asks the backend to compile spec under appName. The
 // request carries ctx's span as a traceparent header, so the backend's
 // compile stages land in the submit's trace.
-func (g *Gateway) compileOnBackend(ctx context.Context, spec, appName string) error {
-	body, _ := json.Marshal(map[string]string{"design": spec, "app": appName})
+func (g *Gateway) compileOnBackend(ctx context.Context, spec, appName string) (compileAnswer, error) {
+	var ans compileAnswer
+	body, _ := json.Marshal(&compileRequest{App: appName, Design: spec})
 	resp, err := g.postJSON(ctx, "/compile", body)
 	if err != nil {
-		return fmt.Errorf("gateway: backend compile of %s: %w", appName, err)
+		return ans, fmt.Errorf("gateway: backend compile of %s: %w", appName, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("gateway: backend compile of %s: %s: %s", appName, resp.Status, strings.TrimSpace(string(msg)))
+		return ans, fmt.Errorf("gateway: backend compile of %s: %s: %s", appName, resp.Status, strings.TrimSpace(string(msg)))
 	}
-	return nil
+	if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
+		return ans, fmt.Errorf("gateway: decoding backend compile of %s: %w", appName, err)
+	}
+	return ans, nil
 }
 
 // postJSON POSTs a JSON body to a backend path, injecting the context's
@@ -247,74 +233,32 @@ func (g *Gateway) postJSON(ctx context.Context, path string, body []byte) (*http
 	return g.client.Do(req)
 }
 
-// ensureDesign guarantees the backend has compiled the design behind
-// dkey, issuing at most one in-flight backend compile per key across all
-// tenants. It reports whether this call had to wait for a compile (cold)
-// and whether it shared someone else's (coalesced).
-func (g *Gateway) ensureDesign(ctx context.Context, spec string, dkey bitstream.CacheKey) (cold, coalesced bool, err error) {
-	g.mu.Lock()
-	_, known := g.designs[dkey]
-	g.mu.Unlock()
-	if known {
-		return false, false, nil
-	}
-	_, err, shared := g.flights.Do(dkey.String(), func() (interface{}, error) {
-		// Leader: the backend compiles the design under its spec name.
-		// The backend's own content-addressed cache makes a lost race
-		// (another gateway, a restart) a cheap rebrand, not a resynthesis.
-		// Coalesced followers share the leader's compile — and therefore
-		// the leader's trace; their own traces record the coalesced wait.
-		if err := g.compileOnBackend(ctx, spec, spec); err != nil {
-			return nil, err
-		}
-		g.mu.Lock()
-		g.designs[dkey] = spec
-		g.mu.Unlock()
-		return nil, nil
-	})
-	if shared {
-		g.coalesceHits.Inc()
-	}
-	return true, shared, err
-}
-
 // ensureInstance guarantees the tenant's named instance of the design is
-// compiled on the backend (a cache hit and a rebranding clone — no tools
-// run). It reports whether a backend round trip happened.
-func (g *Gateway) ensureInstance(ctx context.Context, spec, appName string) (compiled bool, err error) {
+// compiled on the backend and returns its design key. Only the tenant's
+// first submit of the design makes the round trip (cold); the backend
+// runs the full compile once per design, and serves every other instance
+// from its cache, coalesced or not.
+func (g *Gateway) ensureInstance(ctx context.Context, spec, appName string) (dkey string, cold, coalesced bool, err error) {
 	g.mu.Lock()
-	known := g.apps[appName]
+	dkey, known := g.apps[appName]
 	g.mu.Unlock()
 	if known {
-		return false, nil
+		return dkey, false, false, nil
 	}
 	// Concurrent duplicates for the same instance name are rare (one
 	// tenant racing itself) and harmless: the backend's CompileSpec is
 	// idempotent per (app, design).
-	if err := g.compileOnBackend(ctx, spec, appName); err != nil {
-		return false, err
+	ans, err := g.compileOnBackend(ctx, spec, appName)
+	if err != nil {
+		return "", false, false, err
+	}
+	if ans.Coalesced {
+		g.coalesceHits.Inc()
 	}
 	g.mu.Lock()
-	g.apps[appName] = true
+	g.apps[appName] = ans.DesignKey
 	g.mu.Unlock()
-	return true, nil
-}
-
-// designKey returns the coalescing handle of a spec workload.ParseSpec
-// accepted as name: the same content-addressed key the backend's compile
-// cache is keyed by, computed without compiling anything, once per spec.
-func (g *Gateway) designKey(name string, spec workload.Spec) bitstream.CacheKey {
-	g.mu.Lock()
-	k, ok := g.keys[name]
-	g.mu.Unlock()
-	if ok {
-		return k
-	}
-	k = core.DesignKey(workload.BuildDesign(spec), g.params)
-	g.mu.Lock()
-	g.keys[name] = k
-	g.mu.Unlock()
-	return k
+	return ans.DesignKey, true, ans.Coalesced, nil
 }
 
 // handleSubmit is the admission path.
@@ -341,8 +285,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err := workload.ParseSpec(req.Design)
-	if err != nil {
+	if _, err := workload.ParseSpec(req.Design); err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("gateway: %w", err))
 		return
 	}
@@ -356,37 +299,24 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	dkey := g.designKey(req.Design, spec)
-
 	ctx := r.Context()
-	csp := telemetry.StartChild(ctx, "ensure.design", telemetry.String("design", req.Design))
-	cold, coalesced, err := g.ensureDesign(ctx, req.Design, dkey)
-	if coalesced {
-		csp.SetAttr("coalesced", "true")
-	}
-	csp.End()
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadGateway, err)
-		return
-	}
 	appName := tenant + "." + req.Design
 	isp := telemetry.StartChild(ctx, "ensure.instance", telemetry.String("app", appName))
-	instCompiled, err := g.ensureInstance(ctx, req.Design, appName)
+	dkey, cold, coalesced, err := g.ensureInstance(ctx, req.Design, appName)
+	if coalesced {
+		isp.SetAttr("coalesced", "true")
+	}
 	isp.End()
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	cold = cold || instCompiled
 
 	// Hand the deployment to the backend's bounded async pipeline; a shed
 	// (429) propagates to the tenant with the backend's Retry-After. The
 	// traceparent on the forward links the backend's ticket segment — and
 	// the worker's eventual deploy — back to this submit.
-	body, _ := json.Marshal(map[string]interface{}{
-		"app":             appName,
-		"mem_quota_bytes": req.MemQuotaBytes,
-	})
+	body, _ := json.Marshal(&deployRequest{App: appName, MemQuotaBytes: req.MemQuotaBytes})
 	dsp := telemetry.StartChild(ctx, "backend.enqueue", telemetry.String("app", appName))
 	resp, err := g.postJSON(ctx, "/deploy?async=1&priority="+priority, body)
 	dsp.End()
@@ -423,7 +353,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Tenant:      tenant,
 		App:         appName,
 		Design:      req.Design,
-		DesignKey:   dkey.String(),
+		DesignKey:   dkey,
 		ColdCompile: cold,
 		Coalesced:   coalesced,
 		Ticket:      ticketEnvelope.Ticket,
@@ -501,8 +431,13 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // undeployRequest and executeRequest are the tenant bodies of POST
 // /undeploy and POST /execute. Once the app is authorized the gateway
 // relays the decoded body as is: only the fields declared here reach the
-// backend.
+// backend. deployRequest is the body a submit forwards to the backend's
+// POST /deploy.
 type (
+	deployRequest struct {
+		App           string `json:"app"`
+		MemQuotaBytes uint64 `json:"mem_quota_bytes"`
+	}
 	undeployRequest struct {
 		App string `json:"app"`
 	}

@@ -8,99 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"vital/internal/bitstream"
 	"vital/internal/core"
-	"vital/internal/workload"
 )
-
-// --- flightGroup ---------------------------------------------------------
-
-func TestFlightGroupCoalesces(t *testing.T) {
-	const followers = 31
-	var g flightGroup
-	var calls atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-
-	type result struct {
-		val       interface{}
-		err       error
-		coalesced bool
-	}
-	results := make(chan result, followers+1)
-	do := func() {
-		v, err, co := g.Do("k", func() (interface{}, error) {
-			calls.Add(1)
-			close(entered)
-			<-release
-			return "bitstream", nil
-		})
-		results <- result{v, err, co}
-	}
-
-	go do()
-	<-entered // the leader is inside fn; the flight is open
-	var started sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		started.Add(1)
-		go func() {
-			started.Done()
-			do()
-		}()
-	}
-	started.Wait()
-	// Give the followers a beat to reach the flight's WaitGroup, then let
-	// the leader finish.
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-
-	var coalesced int
-	for i := 0; i < followers+1; i++ {
-		r := <-results
-		if r.err != nil || r.val != "bitstream" {
-			t.Fatalf("result %d = (%v, %v)", i, r.val, r.err)
-		}
-		if r.coalesced {
-			coalesced++
-		}
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn ran %d times for %d concurrent callers, want 1", got, followers+1)
-	}
-	if coalesced != followers {
-		t.Fatalf("coalesced = %d, want %d", coalesced, followers)
-	}
-}
-
-func TestFlightGroupDistinctKeysRunIndependently(t *testing.T) {
-	var g flightGroup
-	var calls atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, _ = g.Do(fmt.Sprintf("k%d", i), func() (interface{}, error) {
-				calls.Add(1)
-				return nil, nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("fn ran %d times across 4 distinct keys, want 4", got)
-	}
-	// A second flight for a completed key runs again (the group coalesces
-	// in-flight work, it is not a cache).
-	_, _, co := g.Do("k0", func() (interface{}, error) { calls.Add(1); return nil, nil })
-	if co || calls.Load() != 5 {
-		t.Fatalf("repeat after completion: coalesced=%v calls=%d, want false, 5", co, calls.Load())
-	}
-}
 
 // --- token bucket --------------------------------------------------------
 
@@ -200,6 +112,21 @@ func authedPost(t *testing.T, url, token string, body interface{}) *http.Respons
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// New refuses a backend that is not an http(s) URL with a host, without
+// contacting anything.
+func TestNewRejectsMalformedBackend(t *testing.T) {
+	for _, backend := range []string{"", "127.0.0.1:9000", "ftp://host", "http://", "http://%zz", "/compile"} {
+		if _, err := New(Config{Backend: backend}); err == nil {
+			t.Errorf("New accepted backend %q", backend)
+		}
+	}
+	for _, backend := range []string{"http://127.0.0.1:9000", "https://vitald.example:8443"} {
+		if _, err := New(Config{Backend: backend}); err != nil {
+			t.Errorf("New(%q): %v", backend, err)
+		}
+	}
 }
 
 func TestGatewayAuthAndTenantScope(t *testing.T) {
@@ -355,24 +282,22 @@ func TestGatewaySingleflightDedup(t *testing.T) {
 		}
 	}
 
-	// Exactly one synthesis ran: the design compile. Every per-tenant
-	// instance was served from the content-addressed cache.
+	// Exactly one synthesis ran: the first tenant instance's compile.
+	// Every other instance was served from the content-addressed cache.
 	cs := stack.Controller.CacheStats()
-	if cs.Misses != 1 {
-		t.Fatalf("compile cache misses = %d for %d concurrent identical submissions, want 1", cs.Misses, tenants)
-	}
-	if cs.Hits < tenants {
-		t.Fatalf("compile cache hits = %d, want >= %d (one per tenant instance)", cs.Hits, tenants)
+	if cs.Misses != 1 || cs.Hits+cs.Misses != tenants {
+		t.Fatalf("compile cache misses = %d, hits = %d for %d concurrent identical submissions, want 1 miss and %d lookups",
+			cs.Misses, cs.Hits, tenants, tenants)
 	}
 
-	// All tenants share the leader's frames: the cached artifacts are
+	// All tenants share one set of frames: the cached artifacts are
 	// rebranded, never copied.
 	db := stack.Controller.Bitstreams
-	design, ok := db.Lookup("lenet-S")
+	design, ok := db.Lookup("t00.lenet-S")
 	if !ok || len(design) == 0 {
-		t.Fatal("design bitstreams missing from the database")
+		t.Fatal("t00.lenet-S bitstreams missing from the database")
 	}
-	for i := 0; i < tenants; i++ {
+	for i := 1; i < tenants; i++ {
 		app := fmt.Sprintf("t%02d.lenet-S", i)
 		inst, ok := db.Lookup(app)
 		if !ok || len(inst) != len(design) {
@@ -380,14 +305,14 @@ func TestGatewaySingleflightDedup(t *testing.T) {
 		}
 		for b := range inst {
 			if len(inst[b].Frames) == 0 || &inst[b].Frames[0] != &design[b].Frames[0] {
-				t.Fatalf("%s/vb%d: frames copied, want shared with the design compile", app, b)
+				t.Fatalf("%s/vb%d: frames copied, want shared with t00.lenet-S", app, b)
 			}
 		}
 	}
 
 	// Coalesce accounting: every non-leader either joined the leader's
-	// flight (counted) or arrived after the design key was recorded
-	// (not counted); the counter can never exceed the non-leader count.
+	// flight on the backend (counted) or arrived after it closed (not
+	// counted); the counter can never exceed the non-leader count.
 	if got := g.coalesceHits.Value(); got > tenants-1 {
 		t.Fatalf("coalesce hits = %d, want <= %d", got, tenants-1)
 	}
@@ -398,8 +323,8 @@ func TestGatewaySingleflightDedup(t *testing.T) {
 		}
 	}
 	if cold != tenants {
-		// Every submission here was a tenant's first, so each waited on at
-		// least its instance rebrand round trip.
+		// Every submission here was a tenant's first, so each made its
+		// instance's compile round trip.
 		t.Fatalf("cold_compile reported on %d of %d first submissions", cold, tenants)
 	}
 
@@ -415,46 +340,5 @@ func TestGatewaySingleflightDedup(t *testing.T) {
 	}
 	if got := stack.Controller.CacheStats().Misses; got != 1 {
 		t.Fatalf("warm resubmission added a cache miss (%d)", got)
-	}
-}
-
-// The spec → design-key memo answers what core.DesignKey computes from
-// the backend's own compile parameters, for every Table 2 spec, when
-// concurrent submits fill it and on every repeat, and a repeat lookup
-// allocates nothing.
-func TestDesignKeyMemo(t *testing.T) {
-	stack, g, _ := newGatewayPair(t, Config{})
-	specs := workload.AllSpecs()
-	want := make(map[string]bitstream.CacheKey, len(specs))
-	for _, spec := range specs {
-		want[spec.Name()] = core.DesignKey(workload.BuildDesign(spec), stack.CompileParams())
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, spec := range specs {
-				if got := g.designKey(spec.Name(), spec); got != want[spec.Name()] {
-					t.Errorf("%s: key %s, want %s", spec.Name(), got, want[spec.Name()])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, spec := range specs {
-		name := spec.Name()
-		if got := g.designKey(name, spec); got != want[name] {
-			t.Fatalf("%s repeat: key %s, want %s", name, got, want[name])
-		}
-		if allocs := testing.AllocsPerRun(100, func() { g.designKey(name, spec) }); allocs != 0 {
-			t.Fatalf("%s: repeat lookup allocates %v times", name, allocs)
-		}
-	}
-	g.mu.Lock()
-	memoised := len(g.keys)
-	g.mu.Unlock()
-	if memoised != len(specs) {
-		t.Fatalf("memo holds %d keys, want %d", memoised, len(specs))
 	}
 }

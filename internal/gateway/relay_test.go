@@ -82,9 +82,9 @@ func BenchmarkRelay(b *testing.B) {
 	}
 }
 
-// The gateway relays the decoded /execute and /undeploy bodies as typed
-// structs; the backend must receive exactly the bytes the map encodings
-// it relayed before produced.
+// The gateway relays the decoded /execute and /undeploy bodies, and
+// forwards a submit's /deploy body, as typed structs; the backend must
+// receive exactly the bytes the map encodings it sent before produced.
 func TestTypedRelayBodiesMatchMapEncoding(t *testing.T) {
 	apps := []string{"", "lenet-S", "alice.nin-M", `quote"and\slash`, "<html>&amp;", "ünïcødé", "tab\tnew\nline"}
 	for _, app := range apps {
@@ -96,6 +96,16 @@ func TestTypedRelayBodiesMatchMapEncoding(t *testing.T) {
 			want, _ := json.Marshal(map[string]interface{}{"app": app, "tokens": tokens})
 			if !bytes.Equal(got, want) {
 				t.Fatalf("execute body %s, map encoding %s", got, want)
+			}
+		}
+		for _, quota := range []uint64{0, 1, 1 << 30, ^uint64(0)} {
+			got, err := json.Marshal(&deployRequest{App: app, MemQuotaBytes: quota})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(map[string]interface{}{"app": app, "mem_quota_bytes": quota})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("deploy body %s, map encoding %s", got, want)
 			}
 		}
 		got, err := json.Marshal(&undeployRequest{App: app})

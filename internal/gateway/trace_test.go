@@ -108,7 +108,7 @@ func TestSubmitTraceSpansLinkAcrossProcesses(t *testing.T) {
 	// deploy, and the async ticket segment linking them.
 	want := map[string]bool{
 		"submit":          false,
-		"ensure.design":   false,
+		"ensure.instance": false,
 		"backend.enqueue": false,
 		"compile":         false,
 		"deploy.async":    false,
